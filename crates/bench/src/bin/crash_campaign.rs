@@ -5,166 +5,22 @@
 //!                [--repro-dir DIR] [--replay FILE]
 //! ```
 //!
-//! Case `i` runs `CrashCase::generate(mix(seed, i))` over *both* backends
-//! (volatile and file-backed) under the same seeded crash schedule, then
-//! recovers and asserts the crash-consistency invariant: every
-//! acknowledged write reads back exactly, or the loss is detected —
-//! never silent. The verdict file lists one line per case in index
-//! order, so it is byte-identical for any `EMCC_JOBS`.
-//!
-//! On the first failing case the campaign shrinks it to a minimal
-//! reproducer, persists it under the repro directory, and exits 1;
-//! `--replay` re-runs such a file. Exit 2 is reserved for usage errors.
+//! Case `i` runs a seeded `CrashCase` over *both* backends (volatile and
+//! file-backed) under the same crash schedule, then recovers and asserts
+//! the crash-consistency invariant: every acknowledged write reads back
+//! exactly, or the loss is detected — never silent. The shared campaign
+//! driver (`emcc_bench::campaign`) writes one verdict line per case in
+//! index order (byte-identical for any `EMCC_JOBS`), shrinks the first
+//! failing case to a reproducer under the repro directory and exits 1;
+//! `--replay` re-runs such a file. Exit 2 is reserved for usage and I/O
+//! errors.
 //!
 //! The default 1000 cases give ≥1000 distinct crash schedules per
 //! backend; `--smoke` runs the 64-case CI subset.
 
-use std::path::PathBuf;
+use emcc_bench::campaign;
+use emcc_bench::crash_campaign::CrashCampaign;
 
-use emcc_bench::crash_campaign::{from_text, run_campaign, run_case, to_text, CRASH_SEED};
-use emcc_bench::jobs_from_env;
-use proptest::shrink::minimize;
-
-/// Shrink budget: candidates tested before accepting the current minimum.
-const SHRINK_BUDGET: usize = 2_000;
-
-struct Args {
-    cases: usize,
-    seed: u64,
-    out: PathBuf,
-    repro_dir: PathBuf,
-    replay: Option<PathBuf>,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: crash_campaign [--cases N] [--seed S] [--smoke] [--out FILE] \
-         [--repro-dir DIR] [--replay FILE]"
-    );
-    std::process::exit(2)
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        cases: 1000,
-        seed: CRASH_SEED,
-        out: PathBuf::from("target/crash_verdicts.txt"),
-        repro_dir: PathBuf::from("target/crash_repro"),
-        replay: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |what: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("error: {flag} needs {what}");
-                usage()
-            })
-        };
-        match flag.as_str() {
-            "--cases" => args.cases = value("a count").parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = value("a seed").parse().unwrap_or_else(|_| usage()),
-            "--smoke" => args.cases = 64,
-            "--out" => args.out = PathBuf::from(value("a path")),
-            "--repro-dir" => args.repro_dir = PathBuf::from(value("a path")),
-            "--replay" => args.replay = Some(PathBuf::from(value("a path"))),
-            _ => usage(),
-        }
-    }
-    args
-}
-
-/// Scratch root for file-backend runs: inside the workspace's target
-/// directory, never the system temp dir.
-fn scratch_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/crash_scratch")
-}
-
-fn replay(path: &std::path::Path) -> i32 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {}: {e}", path.display());
-            return 2;
-        }
-    };
-    let case = match from_text(&text) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {}: {e}", path.display());
-            return 2;
-        }
-    };
-    let run = run_case(&case, &scratch_root().join("replay"));
-    match run.failure {
-        None => {
-            println!(
-                "replay ok: {} acked writes survived (crashed: {}, corrupted: {})",
-                run.acked.len(),
-                run.crashed,
-                run.corrupted
-            );
-            0
-        }
-        Some(why) => {
-            println!("replay FAIL: {why}");
-            1
-        }
-    }
-}
-
-fn main() {
-    let args = parse_args();
-    if let Some(path) = &args.replay {
-        std::process::exit(replay(path));
-    }
-
-    let scratch = scratch_root();
-    let report = run_campaign(args.cases, args.seed, jobs_from_env(), &scratch);
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    if let Some(parent) = args.out.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    std::fs::write(&args.out, report.verdicts.join("\n") + "\n")
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", args.out.display()));
-
-    println!(
-        "crash campaign: {} cases x 2 backends, {} crashed, {} corrupted — {}",
-        args.cases,
-        report.crashed_cases,
-        report.corrupted_cases,
-        if report.all_pass() {
-            "ALL PASS"
-        } else {
-            "FAILED"
-        }
-    );
-    println!("verdicts: {}", args.out.display());
-
-    if let Some((index, case, why)) = report.failures.first() {
-        eprintln!("case {index} failed: {why}");
-        eprintln!("shrinking (budget {SHRINK_BUDGET} candidates)...");
-        let shrink_dir = scratch_root().join("shrink");
-        let m = minimize(case.clone(), SHRINK_BUDGET, |c| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_case(c, &shrink_dir).failure.is_some()
-            }))
-            .unwrap_or(true)
-        });
-        let _ = std::fs::remove_dir_all(&shrink_dir);
-        let _ = std::fs::create_dir_all(&args.repro_dir);
-        let file = args
-            .repro_dir
-            .join(format!("crash_case_{:#018x}.txt", m.value.seed));
-        std::fs::write(&file, to_text(&m.value))
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", file.display()));
-        eprintln!(
-            "minimal reproducer ({} ops, {} shrink steps): {}",
-            m.value.ops.len(),
-            m.steps,
-            file.display()
-        );
-        eprintln!("replay with: crash_campaign --replay {}", file.display());
-        std::process::exit(1);
-    }
+fn main() -> std::process::ExitCode {
+    campaign::main::<CrashCampaign>(&[], |_| Ok(None))
 }

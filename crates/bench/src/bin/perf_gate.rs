@@ -32,6 +32,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use emcc::prelude::WorkloadScale;
+use emcc_bench::json::Obj;
 use emcc_bench::{experiments, jobs_from_env, ExpParams, Harness};
 
 /// Symmetric tolerance band, fraction of the baseline.
@@ -76,19 +77,6 @@ fn measure_once(jobs: usize) -> (f64, u64, f64) {
     (sps, misses, secs)
 }
 
-/// Minimal scan for `"key": <number>` in our own hand-rolled JSON (no
-/// serde in the tree). Returns `None` when the key is absent or the
-/// value is not a number literal.
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\"");
-    let rest = &text[text.find(&pat)? + pat.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit() && !"+-.eE".contains(c))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn main() {
     let blessing = std::env::var_os("EMCC_BLESS").is_some();
     let path = baseline_path();
@@ -110,7 +98,14 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        let Some(sps) = json_number(&text, "sims_per_sec") else {
+        let doc = Obj::parse(&text).unwrap_or_else(|e| {
+            eprintln!(
+                "error: {}: {e} — re-bless with EMCC_BLESS=1",
+                path.display()
+            );
+            std::process::exit(2);
+        });
+        let Some(sps) = doc.number("sims_per_sec") else {
             eprintln!(
                 "error: {} has no numeric \"sims_per_sec\" — re-bless with EMCC_BLESS=1",
                 path.display()
@@ -124,8 +119,8 @@ fn main() {
             );
             std::process::exit(2);
         }
-        let tol = json_number(&text, "tolerance_pct").unwrap_or(DEFAULT_TOLERANCE_PCT);
-        let jobs = json_number(&text, "jobs").map(|j| j as usize);
+        let tol = doc.number("tolerance_pct").unwrap_or(DEFAULT_TOLERANCE_PCT);
+        let jobs = doc.number("jobs").map(|j| j as usize);
         Some((sps, tol, jobs))
     };
     let jobs = env_jobs
@@ -150,11 +145,13 @@ fn main() {
     let best = sps1.max(sps2);
 
     if blessing {
-        let json = format!(
-            "{{\n  \"scale\": \"Test\",\n  \"jobs\": {jobs},\n  \"unique_runs\": {unique},\n  \
-             \"sims_per_sec\": {best:.3},\n  \"tolerance_pct\": {DEFAULT_TOLERANCE_PCT}\n}}\n"
-        );
-        if let Err(e) = std::fs::write(&path, json) {
+        let json = Obj::new()
+            .str("scale", "Test")
+            .num("jobs", jobs)
+            .num("unique_runs", unique)
+            .fixed("sims_per_sec", best, 3)
+            .num("tolerance_pct", DEFAULT_TOLERANCE_PCT);
+        if let Err(e) = std::fs::write(&path, json.render()) {
             eprintln!("error: cannot write {}: {e}", path.display());
             std::process::exit(2);
         }
@@ -205,16 +202,13 @@ fn main() {
 
 /// Archives both passes and the verdict for CI artifact upload.
 fn write_telemetry(sps1: f64, sps2: f64, best: f64, base: Option<f64>, verdict: &str) {
-    let base_field = match base {
-        Some(b) => format!("{b:.3}"),
-        None => "null".to_string(),
-    };
-    let json = format!(
-        "{{\n  \"pass1_sims_per_sec\": {sps1:.3},\n  \"pass2_sims_per_sec\": {sps2:.3},\n  \
-         \"best_sims_per_sec\": {best:.3},\n  \"baseline_sims_per_sec\": {base_field},\n  \
-         \"verdict\": \"{verdict}\"\n}}\n"
-    );
-    if let Err(e) = std::fs::write("BENCH_perf_gate.json", json) {
+    let json = Obj::new()
+        .fixed("pass1_sims_per_sec", sps1, 3)
+        .fixed("pass2_sims_per_sec", sps2, 3)
+        .fixed("best_sims_per_sec", best, 3)
+        .fixed("baseline_sims_per_sec", base.unwrap_or(f64::NAN), 3)
+        .str("verdict", verdict);
+    if let Err(e) = std::fs::write("BENCH_perf_gate.json", json.render()) {
         eprintln!("perf_gate: telemetry BENCH_perf_gate.json: {e}");
     }
 }

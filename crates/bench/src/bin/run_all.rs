@@ -1,57 +1,76 @@
 //! Regenerates every figure in one pass — the data source for
-//! EXPERIMENTS.md.
+//! EXPERIMENTS.md — or one figure with `--only NAME`.
 //!
 //! ```sh
 //! EMCC_SCALE=small EMCC_JOBS=4 cargo run --release -p emcc-bench --bin run_all
+//! EMCC_SCALE=small cargo run --release -p emcc-bench --bin run_all -- --only fig16
 //! ```
 //!
 //! `--smoke` forces `Test` scale regardless of `EMCC_SCALE` — the fast,
 //! deterministic pass CI diffs against the committed snapshot
 //! (`crates/bench/tests/snapshots/run_all_smoke.txt`).
 //!
+//! `--only NAME` prints one entry of [`experiments::FIGURES`] (`fig02` …
+//! `fig24`, `timelines`, `ablations`, `race`, or `extensions`, the §IV-F
+//! table outside the full pass), exactly as the full pass prints it.
+//!
 //! `--trace FILE` additionally exports a Chrome-trace JSON of one
 //! representative EMCC run's critical-path attribution (open in
 //! `chrome://tracing` or Perfetto). The traced run is inline, so the
 //! file is byte-identical for any `EMCC_JOBS`.
 //!
-//! Two phases:
+//! The full pass has two phases:
 //!
 //! 1. **Schedule** — every figure declares its run-matrix as
 //!    [`RunRequest`](emcc_bench::RunRequest)s; the union is executed on
 //!    the work-stealing pool (`EMCC_JOBS` workers). Requests shared
 //!    between figures (the Table I schemes dominate) simulate once.
-//! 2. **Render** — figures print serially in the original order from the
+//! 2. **Render** — figures print serially in table order from the
 //!    run-cache, so stdout is byte-identical no matter the worker count.
 //!
-//! Wall-clock per section and the cache hit/miss counters are written to
-//! `BENCH_run_all.json`.
+//! Phase timings and the cache hit/miss counters are written to
+//! `BENCH_run_all.json`, the race figure to `BENCH_race.json`.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use emcc::prelude::WorkloadScale;
+use emcc_bench::json::{self, Obj};
 use emcc_bench::{experiments, ExhaustedRun, ExpParams, FailedRun, Harness};
+
+const USAGE: &str = "usage: run_all [--smoke] [--trace FILE] [--only NAME]";
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}\n{USAGE}");
+    std::process::exit(2)
+}
 
 fn main() {
     let mut smoke = false;
     let mut trace: Option<String> = None;
+    let mut only: Option<&'static experiments::Figure> = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--trace" => match it.next() {
-                Some(path) => trace = Some(path),
-                None => {
-                    eprintln!(
-                        "error: --trace needs a path\nusage: run_all [--smoke] [--trace FILE]"
-                    );
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("error: unknown flag {other}\nusage: run_all [--smoke] [--trace FILE]");
-                std::process::exit(2);
+            "--trace" => {
+                trace = Some(
+                    it.next()
+                        .unwrap_or_else(|| usage_error("--trace needs a path")),
+                )
             }
+            "--only" => {
+                let name = it
+                    .next()
+                    .unwrap_or_else(|| usage_error("--only needs a name"));
+                only = Some(experiments::find(&name).unwrap_or_else(|| {
+                    let names: Vec<&str> = experiments::FIGURES.iter().map(|f| f.name).collect();
+                    usage_error(&format!(
+                        "unknown figure `{name}`; valid names: {}",
+                        names.join(" ")
+                    ))
+                }));
+            }
+            other => usage_error(&format!("unknown flag {other}")),
         }
     }
     if let Some(path) = &trace {
@@ -66,6 +85,13 @@ fn main() {
     } else {
         Harness::from_env()
     };
+    if let Some(fig) = only {
+        h.execute(&(fig.requests)());
+        exit_on_failures(&h, 0.0);
+        print!("{}", (fig.render)(&h));
+        return;
+    }
+
     let scale = h.params().scale;
     let t0 = Instant::now();
     println!(
@@ -84,13 +110,13 @@ fn main() {
     // The same batch backs `perf_gate`, so the sims/sec recorded below is
     // directly comparable to the gated baseline.
     let requests = experiments::all_requests();
-    let requested = requests.len();
     h.execute(&requests);
     let (sched_hits, sched_misses) = h.cache_stats();
     let sim_secs = t0.elapsed().as_secs_f64();
     eprintln!(
         "[{sim_secs:>7.1}s] simulated {sched_misses} unique runs \
-         ({requested} requested, {sched_hits} shared)"
+         ({} requested, {sched_hits} shared)",
+        requests.len()
     );
 
     // Crash isolation: a panicking simulation was contained by the pool
@@ -98,137 +124,34 @@ fn main() {
     // of the cache, so write the telemetry trail and bail nonzero.
     let failures = h.failures();
     if !failures.is_empty() {
-        for f in &failures {
-            eprintln!(
-                "[{:>7.1}s] FAILED run: {} / {}: {}",
-                t0.elapsed().as_secs_f64(),
-                f.bench,
-                f.scheme,
-                f.error
-            );
-        }
         let total_secs = t0.elapsed().as_secs_f64();
+        let exhausted = h.recovery_exhausted();
         let json = bench_json(
-            scale,
-            h.jobs(),
-            requested,
+            &h,
+            requests.len(),
             sim_secs,
             total_secs,
-            sched_hits,
-            sched_misses,
-            &[],
             &failures,
-            &h.recovery_exhausted(),
+            &exhausted,
         );
-        match std::fs::write("BENCH_run_all.json", &json) {
-            Ok(()) => eprintln!("[{total_secs:>7.1}s] wrote BENCH_run_all.json"),
-            Err(e) => eprintln!("[{total_secs:>7.1}s] BENCH_run_all.json: {e}"),
-        }
+        write_json("BENCH_run_all.json", &json, total_secs);
+        exit_on_failures(&h, total_secs);
+    }
+
+    // Phase 2: render serially in table order; every run is a cache hit.
+    for fig in experiments::FIGURES.iter().filter(|f| f.in_full_pass) {
         eprintln!(
-            "[{total_secs:>7.1}s] aborting render: {} of {requested} runs failed",
-            failures.len()
+            "[{:>7.1}s] rendering {}...",
+            t0.elapsed().as_secs_f64(),
+            fig.name
         );
-        std::process::exit(1);
+        print!("{}", (fig.render)(&h));
     }
-
-    // Phase 2: render serially in the fixed figure order; every run()
-    // below is a cache hit.
-    let mut timings: Vec<(&str, f64)> = Vec::new();
-    let mut section_start = Instant::now();
-    let mut section = |name: &'static str, timings: &mut Vec<(&str, f64)>| {
-        if let Some(last) = timings.last_mut() {
-            // Close the previous section (its name was pushed eagerly).
-            last.1 = section_start.elapsed().as_secs_f64();
-        }
-        eprintln!("[{:>7.1}s] rendering {name}...", t0.elapsed().as_secs_f64());
-        timings.push((name, 0.0));
-        section_start = Instant::now();
-    };
-
-    section("timelines (Figs 5/8/10/13/14)", &mut timings);
-    print!("{}", experiments::timelines::render_all());
-    println!();
-
-    section("Fig 3", &mut timings);
-    print!("{}", experiments::fig03::run().render());
-    println!();
-
-    section("Fig 2", &mut timings);
-    print!("{}", experiments::fig02::run(&h).render());
-    println!();
-
-    section("Figs 6/7", &mut timings);
-    print!("{}", experiments::fig06_07::run_fig06(&h).render());
-    println!();
-    print!("{}", experiments::fig06_07::run_fig07(&h).render());
-    println!();
-
-    section("Figs 11/12/23", &mut timings);
-    let ec = experiments::emcc_ctr::run(&h);
-    print!("{}", ec.fig11.render());
-    println!();
-    print!("{}", ec.fig12.render());
-    println!();
-    print!("{}", ec.fig23.render());
-    println!();
-
-    section("Fig 15", &mut timings);
-    print!("{}", experiments::fig15::run(&h).render());
-    println!();
-
-    section("Figs 16/17", &mut timings);
-    let rows = experiments::perf::run_suite(&h);
-    print!("{}", experiments::perf::fig16(&rows).render());
-    println!(
-        "headline: EMCC speeds up Morphable by {:.1}% on average (paper: 7%)\n",
-        experiments::perf::mean_emcc_speedup(&rows) * 100.0
+    write_json(
+        "BENCH_race.json",
+        &race_json(&experiments::race::figure(&h)),
+        t0.elapsed().as_secs_f64(),
     );
-    print!("{}", experiments::perf::fig17(&rows).render());
-    println!();
-
-    section("Fig 18", &mut timings);
-    print!("{}", experiments::fig18::run(&h).render());
-    println!();
-
-    section("Fig 19", &mut timings);
-    print!("{}", experiments::fig19::run(&h).render());
-    println!();
-
-    section("Fig 20", &mut timings);
-    print!("{}", experiments::fig20::run(&h).render());
-    println!();
-
-    section("Figs 21/22", &mut timings);
-    let ch = experiments::fig21_22::run(&h);
-    print!("{}", ch.fig21.render());
-    println!();
-    print!("{}", ch.fig22.render());
-    println!();
-
-    section("Fig 24", &mut timings);
-    print!("{}", experiments::fig24::run(&h).render());
-    println!();
-
-    section("ablations", &mut timings);
-    print!("{}", experiments::ablations::l2_budget(&h).render());
-    println!();
-    print!("{}", experiments::ablations::aes_wait(&h).render());
-    println!();
-    print!("{}", experiments::ablations::xpt(&h).render());
-    println!();
-
-    section("placement race", &mut timings);
-    let race = experiments::race::figure(&h);
-    print!("{}", race.render());
-    let race_secs = t0.elapsed().as_secs_f64();
-    match std::fs::write("BENCH_race.json", race_json(&race)) {
-        Ok(()) => eprintln!("[{race_secs:>7.1}s] wrote BENCH_race.json"),
-        Err(e) => eprintln!("[{race_secs:>7.1}s] BENCH_race.json: {e}"),
-    }
-
-    if let Some(last) = timings.last_mut() {
-        last.1 = section_start.elapsed().as_secs_f64();
-    }
 
     let total_secs = t0.elapsed().as_secs_f64();
     let (hits, misses) = h.cache_stats();
@@ -243,23 +166,36 @@ fn main() {
             e.bench, e.scheme, e.unrecovered
         );
     }
-    let json = bench_json(
-        scale,
-        h.jobs(),
-        requested,
-        sim_secs,
-        total_secs,
-        hits,
-        misses,
-        &timings,
-        &[],
-        &exhausted,
-    );
-    match std::fs::write("BENCH_run_all.json", &json) {
-        Ok(()) => eprintln!("[{total_secs:>7.1}s] wrote BENCH_run_all.json"),
-        Err(e) => eprintln!("[{total_secs:>7.1}s] BENCH_run_all.json: {e}"),
-    }
+    let json = bench_json(&h, requests.len(), sim_secs, total_secs, &[], &exhausted);
+    write_json("BENCH_run_all.json", &json, total_secs);
     eprintln!("[{total_secs:>7.1}s] done ({misses} simulations, {hits} cache hits)");
+}
+
+/// Reports every failed simulation and exits 1 when there are any.
+fn exit_on_failures(h: &Harness, secs: f64) {
+    let failures = h.failures();
+    if failures.is_empty() {
+        return;
+    }
+    for f in &failures {
+        eprintln!(
+            "[{secs:>7.1}s] FAILED run: {} / {}: {}",
+            f.bench, f.scheme, f.error
+        );
+    }
+    eprintln!(
+        "[{secs:>7.1}s] aborting render: {} runs failed",
+        failures.len()
+    );
+    std::process::exit(1);
+}
+
+/// Telemetry is best effort: an unwritable file is reported, not fatal.
+fn write_json(path: &str, json: &Obj, secs: f64) {
+    match std::fs::write(path, json.render()) {
+        Ok(()) => eprintln!("[{secs:>7.1}s] wrote {path}"),
+        Err(e) => eprintln!("[{secs:>7.1}s] {path}: {e}"),
+    }
 }
 
 /// Writes a Chrome-trace JSON (`chrome://tracing` / Perfetto) of one
@@ -274,32 +210,19 @@ fn export_trace(path: &str) -> std::io::Result<()> {
     std::fs::write(path, rec.chrome_json())
 }
 
-/// Hand-rolled JSON (no serde in the tree): timing + cache telemetry +
-/// the failed-run trail (empty on a clean pass) + runs that completed
-/// with an exhausted integrity-retry budget (kept distinct from
-/// `failed_runs`: their reports are valid and rendered).
-#[allow(clippy::too_many_arguments)]
+/// Timing + cache telemetry, the failed-run trail (empty on a clean
+/// pass), and runs that completed with an exhausted integrity-retry
+/// budget (kept distinct from `failed_runs`: their reports are valid and
+/// rendered).
 fn bench_json(
-    scale: emcc::prelude::WorkloadScale,
-    jobs: usize,
+    h: &Harness,
     requested: usize,
     sim_secs: f64,
     total_secs: f64,
-    hits: u64,
-    misses: u64,
-    timings: &[(&str, f64)],
     failures: &[FailedRun],
     exhausted: &[ExhaustedRun],
-) -> String {
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"scale\": \"{scale:?}\",");
-    let _ = writeln!(s, "  \"jobs\": {jobs},");
-    let _ = writeln!(s, "  \"requested_runs\": {requested},");
-    let _ = writeln!(s, "  \"unique_runs\": {misses},");
-    let _ = writeln!(s, "  \"cache_hits\": {hits},");
-    let _ = writeln!(s, "  \"cache_misses\": {misses},");
-    let _ = writeln!(s, "  \"simulate_seconds\": {sim_secs:.3},");
-    let _ = writeln!(s, "  \"total_seconds\": {total_secs:.3},");
+) -> Obj {
+    let (hits, misses) = h.cache_stats();
     // The perf trajectory: unique simulations per second of simulate
     // phase — the number `perf_gate` compares against its committed
     // baseline. Phase durations repeat in integer nanoseconds so
@@ -309,99 +232,49 @@ fn bench_json(
     } else {
         0.0
     };
-    let _ = writeln!(s, "  \"sims_per_sec\": {sims_per_sec:.3},");
-    let _ = writeln!(s, "  \"simulate_ns\": {},", (sim_secs * 1e9) as u64);
-    let _ = writeln!(
-        s,
-        "  \"render_ns\": {},",
-        ((total_secs - sim_secs).max(0.0) * 1e9) as u64
-    );
-    let _ = writeln!(s, "  \"total_ns\": {},", (total_secs * 1e9) as u64);
-    s.push_str("  \"failed_runs\": [");
-    for (i, f) in failures.iter().enumerate() {
-        let comma = if i + 1 == failures.len() { "" } else { "," };
-        let _ = write!(
-            s,
-            "\n    {{\"bench\": \"{}\", \"scheme\": \"{}\", \"error\": \"{}\"}}{comma}",
-            json_escape(&f.bench),
-            json_escape(&f.scheme),
-            json_escape(&f.error)
-        );
-    }
-    if failures.is_empty() {
-        s.push_str("],\n");
-    } else {
-        s.push_str("\n  ],\n");
-    }
-    let _ = writeln!(s, "  \"recovery_exhausted_count\": {},", exhausted.len());
-    s.push_str("  \"recovery_exhausted_runs\": [");
-    for (i, e) in exhausted.iter().enumerate() {
-        let comma = if i + 1 == exhausted.len() { "" } else { "," };
-        let _ = write!(
-            s,
-            "\n    {{\"bench\": \"{}\", \"scheme\": \"{}\", \"unrecovered\": {}}}{comma}",
-            json_escape(&e.bench),
-            json_escape(&e.scheme),
-            e.unrecovered
-        );
-    }
-    if exhausted.is_empty() {
-        s.push_str("],\n");
-    } else {
-        s.push_str("\n  ],\n");
-    }
-    s.push_str("  \"render_seconds\": {\n");
-    for (i, (name, secs)) in timings.iter().enumerate() {
-        let comma = if i + 1 == timings.len() { "" } else { "," };
-        let _ = writeln!(s, "    \"{name}\": {secs:.3}{comma}");
-    }
-    s.push_str("  }\n}\n");
-    s
+    let ns = |secs: f64| (secs.max(0.0) * 1e9) as u64;
+    let run = |bench: &str, scheme: &str| Obj::new().str("bench", bench).str("scheme", scheme);
+    Obj::new()
+        .str("scale", &format!("{:?}", h.params().scale))
+        .num("jobs", h.jobs())
+        .num("requested_runs", requested)
+        .num("unique_runs", misses)
+        .num("cache_hits", hits)
+        .num("cache_misses", misses)
+        .fixed("simulate_seconds", sim_secs, 3)
+        .fixed("total_seconds", total_secs, 3)
+        .fixed("sims_per_sec", sims_per_sec, 3)
+        .num("simulate_ns", ns(sim_secs))
+        .num("render_ns", ns(total_secs - sim_secs))
+        .num("total_ns", ns(total_secs))
+        .rows(
+            "failed_runs",
+            failures
+                .iter()
+                .map(|f| run(&f.bench, &f.scheme).str("error", &f.error)),
+        )
+        .num("recovery_exhausted_count", exhausted.len())
+        .rows(
+            "recovery_exhausted_runs",
+            exhausted
+                .iter()
+                .map(|e| run(&e.bench, &e.scheme).num("unrecovered", e.unrecovered)),
+        )
 }
 
 /// The race figure as machine-readable telemetry (`BENCH_race.json`):
 /// one row per benchmark (plus the mean), one normalized value per
 /// scheme, in `all()` order. CI uploads this as an artifact so the
 /// placement race is plottable without reparsing stdout.
-fn race_json(fig: &emcc_bench::experiments::FigureData) -> String {
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"title\": \"{}\",", json_escape(&fig.title));
-    s.push_str("  \"schemes\": [");
-    for (i, c) in fig.cols.iter().enumerate() {
-        let comma = if i + 1 == fig.cols.len() { "" } else { ", " };
-        let _ = write!(s, "\"{}\"{comma}", json_escape(c));
-    }
-    s.push_str("],\n  \"rows\": [\n");
-    for (i, (name, values)) in fig.rows.iter().zip(&fig.values).enumerate() {
-        let comma = if i + 1 == fig.rows.len() { "" } else { "," };
-        let _ = write!(
-            s,
-            "    {{\"benchmark\": \"{}\", \"normalized\": [",
-            json_escape(name)
-        );
-        for (j, v) in values.iter().enumerate() {
-            let vcomma = if j + 1 == values.len() { "" } else { ", " };
-            let _ = write!(s, "{v:.6}{vcomma}");
-        }
-        let _ = writeln!(s, "]}}{comma}");
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Escapes a string for embedding in a JSON literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+fn race_json(fig: &experiments::FigureData) -> Obj {
+    let rows = fig.rows.iter().zip(&fig.values).map(|(name, values)| {
+        let normalized = values.iter().map(|&v| json::fixed(v, 6));
+        Obj::new()
+            .str("benchmark", name)
+            .list("normalized", normalized)
+    });
+    Obj::new()
+        .str("title", &fig.title)
+        .list("schemes", fig.cols.iter().map(|c| json::quote(c)))
+        .rows("rows", rows)
 }

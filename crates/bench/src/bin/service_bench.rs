@@ -13,9 +13,9 @@
 //! per thread count lands in `BENCH_service.json` (`--out` overrides).
 //!
 //! `--smoke` shrinks the op count and thread list for CI. Exit 2 is
-//! reserved for usage errors; a read-back mismatch panics (exit 101).
+//! reserved for usage and output errors; a read-back mismatch panics
+//! (exit 101).
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -23,7 +23,9 @@ use emcc::counters::CounterDesign;
 use emcc::crypto::DataBlock;
 use emcc::secmem::service::InMemoryBackend;
 use emcc::secmem::{MemoryAdt, SecureMemoryService, SecurityScheme, ServiceConfig, ServiceError};
+use emcc::sim::rng::{mix64, GOLDEN_GAMMA};
 use emcc::sim::LineAddr;
+use emcc_bench::json::Obj;
 
 /// Benchmark seed: scripts are reproducible bit-for-bit.
 const SEED: u64 = 0x5E4B;
@@ -78,13 +80,6 @@ fn parse_args() -> Args {
     args
 }
 
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 fn block(v: u64) -> DataBlock {
     DataBlock::from_words([v; 8])
 }
@@ -129,7 +124,8 @@ fn run_thread(svc: &SecureMemoryService<InMemoryBackend>, thread: u64, n: u64, o
     let mut last: std::collections::HashMap<LineAddr, DataBlock> = Default::default();
     let mut absorbed = 0;
     for i in 0..ops {
-        let r = mix(SEED ^ thread.wrapping_mul(0x9049).wrapping_add(i));
+        let r =
+            mix64((SEED ^ thread.wrapping_mul(0x9049).wrapping_add(i)).wrapping_add(GOLDEN_GAMMA));
         let line = owned_line(thread, n, r >> 16);
         let val = block(r);
         match r % 10 {
@@ -197,31 +193,22 @@ fn run_cell(threads: usize, ops: u64) -> Cell {
     }
 }
 
-/// Hand-rolled JSON (no serde in the tree).
-fn bench_json(ops: u64, cells: &[Cell]) -> String {
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"backend\": \"in-memory\",");
-    let _ = writeln!(s, "  \"scheme\": \"{}\",", SecurityScheme::Emcc);
-    let _ = writeln!(s, "  \"data_lines\": {LINES},");
-    let _ = writeln!(s, "  \"ops_per_thread\": {ops},");
-    s.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 == cells.len() { "" } else { "," };
-        let _ = writeln!(
-            s,
-            "    {{\"threads\": {}, \"total_ops\": {}, \"seconds\": {:.3}, \
-             \"ops_per_sec\": {:.0}, \"overloaded_absorbed\": {}, \
-             \"service_retries\": {}}}{comma}",
-            c.threads,
-            c.total_ops,
-            c.seconds,
-            c.ops_per_sec,
-            c.overloaded_absorbed,
-            c.service_retries
-        );
-    }
-    s.push_str("  ]\n}\n");
-    s
+fn bench_json(ops: u64, cells: &[Cell]) -> Obj {
+    let results = cells.iter().map(|c| {
+        Obj::new()
+            .num("threads", c.threads)
+            .num("total_ops", c.total_ops)
+            .fixed("seconds", c.seconds, 3)
+            .fixed("ops_per_sec", c.ops_per_sec, 0)
+            .num("overloaded_absorbed", c.overloaded_absorbed)
+            .num("service_retries", c.service_retries)
+    });
+    Obj::new()
+        .str("backend", "in-memory")
+        .str("scheme", &SecurityScheme::Emcc.to_string())
+        .num("data_lines", LINES)
+        .num("ops_per_thread", ops)
+        .rows("results", results)
 }
 
 fn main() {
@@ -235,8 +222,9 @@ fn main() {
         );
         cells.push(cell);
     }
-    let json = bench_json(args.ops, &cells);
-    std::fs::write(&args.out, json)
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", args.out.display()));
+    if let Err(e) = std::fs::write(&args.out, bench_json(args.ops, &cells).render()) {
+        eprintln!("error: cannot write {}: {e}", args.out.display());
+        std::process::exit(2);
+    }
     println!("wrote {}", args.out.display());
 }

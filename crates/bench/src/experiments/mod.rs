@@ -15,11 +15,107 @@ pub mod perf;
 pub mod race;
 pub mod timelines;
 
-/// The union of every figure's run-matrix — the exact batch `run_all`
-/// schedules in its simulate phase. `perf_gate` executes the same batch
-/// so its sims/sec measures the same workload the trajectory in
-/// `BENCH_run_all.json` reports.
-pub fn all_requests() -> Vec<crate::pool::RunRequest> {
+use crate::{Harness, RunRequest};
+
+/// One figure (or group of tables) `run_all` can print: its name (the
+/// `--only` argument), the runs it needs and its rendered section.
+pub struct Figure {
+    /// `run_all --only` name.
+    pub name: &'static str,
+    /// The run-matrix its rendering reads from the cache.
+    pub requests: fn() -> Vec<RunRequest>,
+    /// The section exactly as `run_all` prints it.
+    pub render: fn(&Harness) -> String,
+    /// Whether `run_all`'s full pass prints it.
+    pub in_full_pass: bool,
+}
+
+/// `fig.render()` plus the blank line `run_all` puts after each table.
+fn section(fig: FigureData) -> String {
+    fig.render() + "\n"
+}
+
+const fn figure(
+    name: &'static str,
+    requests: fn() -> Vec<RunRequest>,
+    render: fn(&Harness) -> String,
+) -> Figure {
+    Figure {
+        name,
+        requests,
+        render,
+        in_full_pass: true,
+    }
+}
+
+/// Every figure, in `run_all`'s print order.
+pub static FIGURES: [Figure; 20] = [
+    figure("timelines", Vec::new, |_| timelines::render_all() + "\n"),
+    figure("fig03", Vec::new, |_| section(fig03::run())),
+    figure("fig02", fig02::requests, |h| section(fig02::run(h))),
+    figure("fig06", fig06_07::fig06_requests, |h| {
+        section(fig06_07::run_fig06(h))
+    }),
+    figure("fig07", fig06_07::fig07_requests, |h| {
+        section(fig06_07::run_fig07(h))
+    }),
+    figure("fig11", emcc_ctr::requests, |h| {
+        section(emcc_ctr::run(h).fig11)
+    }),
+    figure("fig12", emcc_ctr::requests, |h| {
+        section(emcc_ctr::run(h).fig12)
+    }),
+    figure("fig23", emcc_ctr::requests, |h| {
+        section(emcc_ctr::run(h).fig23)
+    }),
+    figure("fig15", fig15::requests, |h| section(fig15::run(h))),
+    figure("fig16", perf::requests, |h| {
+        let rows = perf::run_suite(h);
+        format!(
+            "{}headline: EMCC speeds up Morphable by {:.1}% on average (paper: 7%)\n\n",
+            perf::fig16(&rows).render(),
+            perf::mean_emcc_speedup(&rows) * 100.0
+        )
+    }),
+    figure("fig17", perf::requests, |h| {
+        section(perf::fig17(&perf::run_suite(h)))
+    }),
+    figure("fig18", fig18::requests, |h| section(fig18::run(h))),
+    figure("fig19", fig19::requests, |h| section(fig19::run(h))),
+    figure("fig20", fig20::requests, |h| section(fig20::run(h))),
+    figure("fig21", fig21_22::requests, |h| {
+        section(fig21_22::run(h).fig21)
+    }),
+    figure("fig22", fig21_22::requests, |h| {
+        section(fig21_22::run(h).fig22)
+    }),
+    figure("fig24", fig24::requests, |h| section(fig24::run(h))),
+    figure("ablations", ablations::requests, |h| {
+        section(ablations::l2_budget(h))
+            + &section(ablations::aes_wait(h))
+            + &section(ablations::xpt(h))
+    }),
+    figure("race", race::requests, |h| race::figure(h).render()),
+    // §IV-F extensions (inclusive LLC, dynamic disable): printed on
+    // request only, so the full pass stays the committed snapshot.
+    Figure {
+        in_full_pass: false,
+        ..figure("extensions", ablations::extensions_requests, |h| {
+            section(ablations::extensions(h))
+        })
+    },
+];
+
+/// The figure named `name`.
+pub fn find(name: &str) -> Option<&'static Figure> {
+    FIGURES.iter().find(|f| f.name == name)
+}
+
+/// The union of every full-pass figure's run-matrix — the exact batch
+/// `run_all` schedules in its simulate phase. `perf_gate` executes the
+/// same batch so its sims/sec measures the same workload the trajectory
+/// in `BENCH_run_all.json` reports.
+pub fn all_requests() -> Vec<RunRequest> {
     let mut requests = fig02::requests();
     requests.extend(fig06_07::fig06_requests());
     requests.extend(fig06_07::fig07_requests());
@@ -128,6 +224,24 @@ impl FigureData {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn all_requests_is_the_full_pass_union() {
+        use std::collections::HashSet;
+        let all: HashSet<RunRequest> = all_requests().into_iter().collect();
+        let table: HashSet<RunRequest> = FIGURES
+            .iter()
+            .filter(|f| f.in_full_pass)
+            .flat_map(|f| (f.requests)())
+            .collect();
+        assert_eq!(all, table);
+    }
+
+    #[test]
+    fn figure_names_are_unique() {
+        let names: std::collections::HashSet<_> = FIGURES.iter().map(|f| f.name).collect();
+        assert_eq!(names.len(), FIGURES.len());
+    }
 
     #[test]
     fn mean_row_is_arithmetic() {

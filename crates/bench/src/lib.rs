@@ -2,10 +2,14 @@
 //! characterization (§III) and evaluation (§VI).
 //!
 //! Each `experiments::figNN` module runs the simulations behind one figure
-//! and renders the same rows/series the paper reports. Binaries
-//! (`cargo run --release -p emcc-bench --bin fig16`) print one figure;
-//! `--bin run_all` regenerates everything (the data behind
-//! EXPERIMENTS.md).
+//! and renders the same rows/series the paper reports.
+//! [`experiments::FIGURES`] names every figure; `--bin run_all`
+//! regenerates them all (the data behind EXPERIMENTS.md) and
+//! `run_all --only fig16` prints one.
+//!
+//! The seeded campaigns (`fuzz_sim` in `emcc-fuzz`, `crash_campaign`
+//! here) share one driver and reproducer codec, [`campaign`]; the bench
+//! binaries share one JSON writer and reader, [`json`].
 //!
 //! # Scale
 //!
@@ -13,9 +17,11 @@
 //! for runtime. `paper` uses the largest synthetic footprints and op
 //! counts and takes tens of minutes for the full suite.
 
+pub mod campaign;
 pub mod crash_campaign;
 pub mod experiments;
 pub mod fault_campaign;
+pub mod json;
 pub mod pool;
 pub mod runner;
 

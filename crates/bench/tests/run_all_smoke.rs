@@ -73,3 +73,48 @@ fn run_all_smoke_matches_snapshot() {
         );
     }
 }
+
+#[test]
+fn only_prints_exactly_one_snapshot_section() {
+    // Fig 3 needs no simulations, so this runs in tier 1.
+    let output = Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .args(["--smoke", "--only", "fig03"])
+        .env_remove("EMCC_SCALE")
+        .output()
+        .expect("spawn run_all");
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let section = String::from_utf8(output.stdout).expect("stdout is UTF-8");
+    let snapshot = std::fs::read_to_string(snapshot_path()).expect("snapshot");
+    assert!(section.starts_with("== Figure 3:"), "{section}");
+    let at = snapshot
+        .find(&section)
+        .expect("the section appears verbatim in the snapshot");
+    // It is the whole section: the timelines end right before it and
+    // Fig 2 starts right after it.
+    assert!(snapshot[..at].ends_with("\n\n"));
+    assert!(snapshot[at + section.len()..].starts_with("== Figure 2:"));
+}
+
+#[test]
+fn only_with_an_unknown_name_exits_2_listing_the_names() {
+    let output = Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .args(["--only", "fig99"])
+        .output()
+        .expect("spawn run_all");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "stderr: {stderr}");
+    for name in [
+        "fig02",
+        "fig24",
+        "timelines",
+        "ablations",
+        "race",
+        "extensions",
+    ] {
+        assert!(stderr.contains(name), "`{name}` not listed: {stderr}");
+    }
+}

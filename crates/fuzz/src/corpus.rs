@@ -1,12 +1,16 @@
 //! Corpus files: replayable `.ron` serialization of [`FuzzCase`].
 //!
 //! The format is a stable, hand-editable RON subset — one `key: value`
-//! per line, trace entries one per line — written and parsed entirely by
-//! this module (the build is offline, so no serde). Parsing re-validates
-//! the case, so a corrupted or hand-broken file fails with a message,
-//! never a simulator panic.
+//! per line, trace entries one per line — written and read by the record
+//! codec every campaign reproducer shares
+//! ([`emcc_bench::campaign::RecordWriter`] / [`read_record`]); this
+//! module keeps only the field list. Parsing re-validates the case, so a
+//! corrupted or hand-broken file fails with a message, never a simulator
+//! panic.
 
 use std::path::{Path, PathBuf};
+
+use emcc_bench::campaign::{read_record, read_tagged, tuple, RecordWriter};
 
 use crate::case::{FaultPlan, FuzzCase, FuzzOp};
 
@@ -77,35 +81,31 @@ pub fn load_dir(dir: &Path) -> (Vec<(PathBuf, FuzzCase)>, Vec<CorpusError>) {
 
 /// Serializes a case to corpus text.
 pub fn to_ron(case: &FuzzCase) -> String {
-    let mut s = String::new();
-    s.push_str(
-        "// emcc-fuzz corpus case — replays via `cargo test -p emcc-fuzz --test corpus_replay`\n",
+    let mut w = RecordWriter::new(
+        "// emcc-fuzz corpus case — replays via `cargo test -p emcc-fuzz --test corpus_replay`\n\
+         // or `fuzz_sim --replay <this file>`. See EXPERIMENTS.md (fuzzing section).\n",
+        "FuzzCase",
     );
-    s.push_str("// or `fuzz_sim --replay <this file>`. See EXPERIMENTS.md (fuzzing section).\n");
-    s.push_str("FuzzCase(\n");
-    let mut kv = |k: &str, v: String| {
-        s.push_str(&format!("    {k}: {v},\n"));
-    };
-    kv("seed", case.seed.to_string());
-    kv("cores", case.cores.to_string());
-    kv("ops_per_core", case.ops_per_core.to_string());
-    kv("data_lines", case.data_lines.to_string());
-    kv("l1_sets", case.l1_sets.to_string());
-    kv("l1_ways", case.l1_ways.to_string());
-    kv("l2_sets", case.l2_sets.to_string());
-    kv("l2_ways", case.l2_ways.to_string());
-    kv("llc_slices", case.llc_slices.to_string());
-    kv("llc_sets", case.llc_sets.to_string());
-    kv("llc_ways", case.llc_ways.to_string());
-    kv("mc_sets", case.mc_sets.to_string());
-    kv("mc_ways", case.mc_ways.to_string());
-    kv("channels", case.channels.to_string());
-    kv("xpt", case.xpt.to_string());
-    kv("inclusive", case.inclusive.to_string());
-    kv("prefetch", case.prefetch.to_string());
-    kv("aes_to_l2_pct", case.aes_to_l2_pct.to_string());
-    kv("budget_lines", case.budget_lines.to_string());
-    kv(
+    w.field("seed", case.seed);
+    w.field("cores", case.cores);
+    w.field("ops_per_core", case.ops_per_core);
+    w.field("data_lines", case.data_lines);
+    w.field("l1_sets", case.l1_sets);
+    w.field("l1_ways", case.l1_ways);
+    w.field("l2_sets", case.l2_sets);
+    w.field("l2_ways", case.l2_ways);
+    w.field("llc_slices", case.llc_slices);
+    w.field("llc_sets", case.llc_sets);
+    w.field("llc_ways", case.llc_ways);
+    w.field("mc_sets", case.mc_sets);
+    w.field("mc_ways", case.mc_ways);
+    w.field("channels", case.channels);
+    w.field("xpt", case.xpt);
+    w.field("inclusive", case.inclusive);
+    w.field("prefetch", case.prefetch);
+    w.field("aes_to_l2_pct", case.aes_to_l2_pct);
+    w.field("budget_lines", case.budget_lines);
+    w.field(
         "fault",
         match case.fault {
             FaultPlan::None => "None".to_string(),
@@ -113,217 +113,89 @@ pub fn to_ron(case: &FuzzCase) -> String {
                 line,
                 class,
                 on_read,
-            } => format!("Planted(line: {line}, class: {class}, on_read: {on_read})"),
+            } => tuple(
+                "Planted",
+                &[("line", &line), ("class", &class), ("on_read", &on_read)],
+            ),
             FaultPlan::Uniform { class, rate_ppm } => {
-                format!("Uniform(class: {class}, rate_ppm: {rate_ppm})")
+                tuple("Uniform", &[("class", &class), ("rate_ppm", &rate_ppm)])
             }
         },
     );
-    s.push_str("    trace: [\n");
-    for op in &case.trace {
-        s.push_str(&format!(
-            "        (line: {}, write: {}, gap: {}, dep: {}),\n",
-            op.line, op.write, op.gap, op.dep
-        ));
-    }
-    s.push_str("    ],\n)\n");
-    s
+    w.finish(
+        "trace",
+        case.trace.iter().map(|op| {
+            tuple(
+                "",
+                &[
+                    ("line", &op.line),
+                    ("write", &op.write),
+                    ("gap", &op.gap),
+                    ("dep", &op.dep),
+                ],
+            )
+        }),
+    )
 }
 
 /// Parses corpus text back into a validated case.
 ///
 /// # Errors
 ///
-/// Returns a message naming the offending line for syntax errors,
-/// missing/duplicate keys, or a case that fails [`FuzzCase::validate`].
+/// Returns a message naming the offending line for syntax errors and
+/// duplicate keys, the key that is missing or has a bad value, or the
+/// constraint a case fails in [`FuzzCase::validate`].
 pub fn from_ron(text: &str) -> Result<FuzzCase, String> {
-    let mut fields: Vec<(String, String)> = Vec::new();
-    let mut trace: Vec<FuzzOp> = Vec::new();
-    let mut in_trace = false;
-    for (num, raw) in text.lines().enumerate() {
-        let line = strip_comment(raw).trim();
-        if line.is_empty() || line == "FuzzCase(" || line == ")" {
-            continue;
-        }
-        if line == "trace: [" {
-            in_trace = true;
-            continue;
-        }
-        if in_trace && (line == "]," || line == "]") {
-            in_trace = false;
-            continue;
-        }
-        if in_trace {
-            trace.push(parse_trace_entry(line).map_err(|e| format!("line {}: {e}", num + 1))?);
-        } else {
-            let (k, v) = split_kv(line).map_err(|e| format!("line {}: {e}", num + 1))?;
-            fields.push((k, v));
-        }
-    }
-
-    let get = |key: &str| -> Result<&str, String> {
-        let mut found = fields.iter().filter(|(k, _)| k == key);
-        let first = found
-            .next()
-            .map(|(_, v)| v.as_str())
-            .ok_or_else(|| format!("missing field `{key}`"))?;
-        if found.next().is_some() {
-            return Err(format!("duplicate field `{key}`"));
-        }
-        Ok(first)
+    let (f, trace) = read_record(text, "FuzzCase", "trace")?;
+    let fault = match read_tagged(f.get("fault")?)? {
+        ("None", _) => FaultPlan::None,
+        ("Planted", a) => FaultPlan::Planted {
+            line: a.parse("line")?,
+            class: a.parse("class")?,
+            on_read: a.parse("on_read")?,
+        },
+        ("Uniform", a) => FaultPlan::Uniform {
+            class: a.parse("class")?,
+            rate_ppm: a.parse("rate_ppm")?,
+        },
+        (tag, _) => return Err(format!("unknown fault plan `{tag}`")),
     };
-    let int = |key: &str| -> Result<u64, String> {
-        get(key)?
-            .parse()
-            .map_err(|_| format!("field `{key}` is not an integer"))
-    };
-    let boolean = |key: &str| -> Result<bool, String> {
-        get(key)?
-            .parse()
-            .map_err(|_| format!("field `{key}` is not a bool"))
-    };
-
+    let trace = trace
+        .iter()
+        .map(|op| {
+            Ok(FuzzOp {
+                line: op.parse("line")?,
+                write: op.parse("write")?,
+                gap: op.parse("gap")?,
+                dep: op.parse("dep")?,
+            })
+        })
+        .collect::<Result<_, String>>()?;
     let case = FuzzCase {
-        seed: int("seed")?,
-        cores: int("cores")? as usize,
-        ops_per_core: int("ops_per_core")?,
-        data_lines: int("data_lines")?,
-        l1_sets: int("l1_sets")?,
-        l1_ways: int("l1_ways")? as u32,
-        l2_sets: int("l2_sets")?,
-        l2_ways: int("l2_ways")? as u32,
-        llc_slices: int("llc_slices")? as usize,
-        llc_sets: int("llc_sets")?,
-        llc_ways: int("llc_ways")? as u32,
-        mc_sets: int("mc_sets")?,
-        mc_ways: int("mc_ways")? as u32,
-        channels: int("channels")? as usize,
-        xpt: boolean("xpt")?,
-        inclusive: boolean("inclusive")?,
-        prefetch: int("prefetch")? as u32,
-        aes_to_l2_pct: int("aes_to_l2_pct")? as u32,
-        budget_lines: int("budget_lines")?,
-        fault: parse_fault(get("fault")?)?,
+        seed: f.parse("seed")?,
+        cores: f.parse("cores")?,
+        ops_per_core: f.parse("ops_per_core")?,
+        data_lines: f.parse("data_lines")?,
+        l1_sets: f.parse("l1_sets")?,
+        l1_ways: f.parse("l1_ways")?,
+        l2_sets: f.parse("l2_sets")?,
+        l2_ways: f.parse("l2_ways")?,
+        llc_slices: f.parse("llc_slices")?,
+        llc_sets: f.parse("llc_sets")?,
+        llc_ways: f.parse("llc_ways")?,
+        mc_sets: f.parse("mc_sets")?,
+        mc_ways: f.parse("mc_ways")?,
+        channels: f.parse("channels")?,
+        xpt: f.parse("xpt")?,
+        inclusive: f.parse("inclusive")?,
+        prefetch: f.parse("prefetch")?,
+        aes_to_l2_pct: f.parse("aes_to_l2_pct")?,
+        budget_lines: f.parse("budget_lines")?,
+        fault,
         trace,
     };
     case.validate()?;
     Ok(case)
-}
-
-/// Reads and parses one corpus file.
-///
-/// # Errors
-///
-/// Propagates I/O and parse errors with the file path prefixed.
-pub fn load(path: &Path) -> Result<FuzzCase, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    from_ron(&text).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-fn strip_comment(line: &str) -> &str {
-    match line.find("//") {
-        Some(i) => &line[..i],
-        None => line,
-    }
-}
-
-fn split_kv(line: &str) -> Result<(String, String), String> {
-    let body = line.strip_suffix(',').unwrap_or(line);
-    let (k, v) = body
-        .split_once(':')
-        .ok_or_else(|| format!("expected `key: value`, got `{line}`"))?;
-    Ok((k.trim().to_string(), v.trim().to_string()))
-}
-
-fn parse_fault(v: &str) -> Result<FaultPlan, String> {
-    if v == "None" {
-        return Ok(FaultPlan::None);
-    }
-    let inner =
-        |name: &str| -> Option<&str> { v.strip_prefix(name)?.strip_prefix('(')?.strip_suffix(')') };
-    let parse_args = |s: &str| -> Result<Vec<(String, u64)>, String> {
-        s.split(',')
-            .map(|part| {
-                let (k, val) = part
-                    .split_once(':')
-                    .ok_or_else(|| format!("bad fault argument `{part}`"))?;
-                let n: u64 = val
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad fault number `{val}`"))?;
-                Ok((k.trim().to_string(), n))
-            })
-            .collect()
-    };
-    let arg = |args: &[(String, u64)], key: &str| -> Result<u64, String> {
-        args.iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, n)| *n)
-            .ok_or_else(|| format!("fault missing `{key}`"))
-    };
-    if let Some(body) = inner("Planted") {
-        let args = parse_args(body)?;
-        return Ok(FaultPlan::Planted {
-            line: arg(&args, "line")?,
-            class: arg(&args, "class")? as usize,
-            on_read: arg(&args, "on_read")?,
-        });
-    }
-    if let Some(body) = inner("Uniform") {
-        let args = parse_args(body)?;
-        return Ok(FaultPlan::Uniform {
-            class: arg(&args, "class")? as usize,
-            rate_ppm: arg(&args, "rate_ppm")? as u32,
-        });
-    }
-    Err(format!("unknown fault plan `{v}`"))
-}
-
-fn parse_trace_entry(line: &str) -> Result<FuzzOp, String> {
-    let body = line
-        .strip_suffix(',')
-        .unwrap_or(line)
-        .strip_prefix('(')
-        .and_then(|s| s.strip_suffix(')'))
-        .ok_or_else(|| {
-            format!("expected `(line: .., write: .., gap: .., dep: ..)`, got `{line}`")
-        })?;
-    let mut op = FuzzOp {
-        line: 0,
-        write: false,
-        gap: 0,
-        dep: false,
-    };
-    let mut seen = [false; 4];
-    for part in body.split(',') {
-        let (k, v) = part
-            .split_once(':')
-            .ok_or_else(|| format!("bad trace field `{part}`"))?;
-        let v = v.trim();
-        match k.trim() {
-            "line" => {
-                op.line = v.parse().map_err(|_| format!("bad line `{v}`"))?;
-                seen[0] = true;
-            }
-            "write" => {
-                op.write = v.parse().map_err(|_| format!("bad write `{v}`"))?;
-                seen[1] = true;
-            }
-            "gap" => {
-                op.gap = v.parse().map_err(|_| format!("bad gap `{v}`"))?;
-                seen[2] = true;
-            }
-            "dep" => {
-                op.dep = v.parse().map_err(|_| format!("bad dep `{v}`"))?;
-                seen[3] = true;
-            }
-            other => return Err(format!("unknown trace field `{other}`")),
-        }
-    }
-    if seen != [true; 4] {
-        return Err(format!("trace entry `{line}` is missing fields"));
-    }
-    Ok(op)
 }
 
 #[cfg(test)]
@@ -355,6 +227,14 @@ mod tests {
             .replace("    cores: 2,\n", "");
         let err = from_ron(&text).unwrap_err();
         assert!(err.contains("cores"), "unhelpful error: {err}");
+    }
+
+    #[test]
+    fn duplicate_field_rejected() {
+        let case = FuzzCase::generate(3);
+        let text = to_ron(&case).replace("    xpt:", "    channels: 1,\n    xpt:");
+        let err = from_ron(&text).unwrap_err();
+        assert!(err.contains("duplicate field `channels`"), "{err}");
     }
 
     #[test]

@@ -61,10 +61,6 @@ impl OracleReport {
 }
 
 /// Runs the full battery on one case.
-///
-/// Honors `EMCC_FORCE_ORACLE_FAIL` (value `*` or a specific case seed):
-/// an always-failing oracle for exercising the shrink → corpus → replay
-/// path end-to-end, mirroring `EMCC_FORCE_PANIC` in the bench harness.
 pub fn check_case(case: &FuzzCase) -> OracleReport {
     let mut failures = Vec::new();
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
@@ -107,24 +103,10 @@ pub fn check_case(case: &FuzzCase) -> OracleReport {
         failures.push("determinism: emcc/morphable replay diverged from first run".to_string());
     }
 
-    if forced_failure(case.seed) {
-        failures.push("forced failure (EMCC_FORCE_ORACLE_FAIL)".to_string());
-    }
-
     OracleReport {
         failures,
         digest,
         combos: SCHEMES.len() * DESIGNS.len(),
-    }
-}
-
-/// `EMCC_FORCE_ORACLE_FAIL=*` fails every case; a number fails the case
-/// with that seed (shrink candidates keep their seed, so the forced
-/// failure survives shrinking, as a real seed-determined bug would).
-fn forced_failure(seed: u64) -> bool {
-    match std::env::var("EMCC_FORCE_ORACLE_FAIL") {
-        Ok(v) => v == "*" || v == seed.to_string(),
-        Err(_) => false,
     }
 }
 

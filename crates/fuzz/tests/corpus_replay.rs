@@ -3,8 +3,7 @@
 //! `fuzz/corpus/*.ron` is the fuzzer's regression suite: any case a
 //! campaign ever shrunk (plus hand-pinned benign cases) stays red until
 //! its bug is fixed, and green forever after. The directory is resolved
-//! relative to this crate so the test passes from any working directory;
-//! `EMCC_CORPUS_DIR` points it elsewhere for sandboxed CI steps.
+//! relative to this crate so the test passes from any working directory.
 //!
 //! Loading is fault-tolerant: a corrupted or truncated corpus file is
 //! reported (and fails the suite) *by name*, but never stops the
@@ -16,9 +15,6 @@ use std::path::PathBuf;
 use emcc_fuzz::{check_case, corpus};
 
 fn corpus_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("EMCC_CORPUS_DIR") {
-        return PathBuf::from(dir);
-    }
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../fuzz/corpus")
 }
 
@@ -53,11 +49,20 @@ fn corpus_cases_replay_green() {
 
 #[test]
 fn corpus_files_roundtrip_exactly() {
-    // A corpus file must re-serialize to semantically identical text, or
-    // shrunk reproducers would drift when re-persisted.
-    let (cases, _) = corpus::load_dir(&corpus_dir());
+    // A corpus file must re-serialize to the same bytes, or shrunk
+    // reproducers would drift when re-persisted.
+    let (cases, errors) = corpus::load_dir(&corpus_dir());
+    assert!(errors.is_empty(), "{errors:?}");
+    assert!(!cases.is_empty(), "no corpus files");
     for (path, case) in cases {
-        let back = corpus::from_ron(&corpus::to_ron(&case)).expect("re-parse");
+        let text = std::fs::read_to_string(&path).expect("read corpus file");
+        assert_eq!(
+            corpus::to_ron(&case),
+            text,
+            "re-encoding drifted in {}",
+            path.display()
+        );
+        let back = corpus::from_ron(&text).expect("re-parse");
         assert_eq!(case, back, "roundtrip drift in {}", path.display());
     }
 }

@@ -39,7 +39,7 @@ pub mod trace;
 pub use hash::{FastHashMap, FastHashSet};
 pub use mem::{LineAddr, PhysAddr};
 pub use queue::EventQueue;
-pub use rng::Rng64;
+pub use rng::{mix64, Rng64};
 pub use stats::{Histogram, RunningMean};
 pub use time::Time;
 pub use trace::{attribute, Attribution, Attributor, Component, Span, TraceRecorder};

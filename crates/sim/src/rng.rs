@@ -21,12 +21,34 @@ pub struct Rng64 {
     s: [u64; 4],
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+/// The SplitMix64 increment (the 64-bit golden ratio).
+pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 output finalizer: a bijective avalanche mix of `z`.
+///
+/// The one copy of this function in the workspace — `Rng64` seeding,
+/// the campaigns' per-case seed derivations and the service benchmark's
+/// op script all call it.
+///
+/// # Examples
+///
+/// ```
+/// use emcc_sim::rng::mix64;
+///
+/// assert_eq!(mix64(0), 0);
+/// assert_ne!(mix64(1), mix64(2));
+/// ```
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+#[inline]
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(GOLDEN_GAMMA);
+    mix64(*state)
 }
 
 impl Rng64 {
@@ -198,6 +220,24 @@ mod tests {
         for _ in 0..1000 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    #[test]
+    fn stream_is_pinned() {
+        // Every workload and campaign derives from this stream: its
+        // values must never drift.
+        let mut r = Rng64::new(42);
+        let got: Vec<u64> = (0..4).map(|_| r.next_u64()).collect();
+        assert_eq!(
+            got,
+            [
+                0x1578_0b2e_0c2e_c716,
+                0x6104_d986_6d11_3a7e,
+                0xae17_5332_39e4_99a1,
+                0xecb8_ad47_03b3_60a1
+            ]
+        );
+        assert_eq!(Rng64::new(0).next_u64(), 0x99ec_5f36_cb75_f2b4);
     }
 
     #[test]
