@@ -9,6 +9,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use emcc::cache::{CacheConfig, SetAssocCache};
 use emcc::counters::format::{decode_morphable, encode_morphable};
 use emcc::counters::MorphFormat;
+use emcc::crypto::mac::{gf64_mul, gf64_mul_soft};
 use emcc::crypto::{Aes128, BlockCipherKeys, DataBlock};
 use emcc::dram::{Dram, DramConfig, DramRequest, RequestClass};
 use emcc::noc::{Mesh, NocLatency};
@@ -16,14 +17,23 @@ use emcc::sim::{EventQueue, LineAddr, Rng64, Time};
 
 fn bench_aes(c: &mut Criterion) {
     let aes = Aes128::new([7u8; 16]);
-    // The two paths must agree before their timings mean anything.
+    // The three paths must agree before their timings mean anything.
+    let reference = aes.encrypt_reference([42u8; 16]);
     assert_eq!(
         aes.encrypt([42u8; 16]),
-        aes.encrypt_reference([42u8; 16]),
+        reference,
+        "dispatched and reference AES disagree"
+    );
+    assert_eq!(
+        aes.encrypt_batch_ttable(&[[42u8; 16]]),
+        [reference],
         "T-table and reference AES disagree"
     );
     c.bench_function("crypto/aes128_block", |b| {
         b.iter(|| aes.encrypt(black_box([42u8; 16])))
+    });
+    c.bench_function("crypto/aes128_block_ttable", |b| {
+        b.iter(|| aes.encrypt_batch_ttable(black_box(&[[42u8; 16]])))
     });
     c.bench_function("crypto/aes128_block_reference", |b| {
         b.iter(|| aes.encrypt_reference(black_box([42u8; 16])))
@@ -33,6 +43,11 @@ fn bench_aes(c: &mut Criterion) {
     // the speedup must be measured against outputs proven equal first.
     let pipeline: [[u8; 16]; 8] = std::array::from_fn(|i| [i as u8 + 1; 16]);
     let batched = aes.encrypt_batch(&pipeline);
+    assert_eq!(
+        aes.encrypt_batch_ttable(&pipeline),
+        batched,
+        "dispatched and T-table batches disagree"
+    );
     for (block, ct) in pipeline.iter().zip(&batched) {
         assert_eq!(*ct, aes.encrypt(*block), "batched and scalar AES disagree");
         assert_eq!(
@@ -53,6 +68,22 @@ fn bench_aes(c: &mut Criterion) {
             }
             out
         })
+    });
+    c.bench_function("crypto/aes128_pipeline8_ttable", |b| {
+        b.iter(|| aes.encrypt_batch_ttable(black_box(&pipeline)))
+    });
+
+    let (x, y) = (0x0123_4567_89ab_cdef_u64, 0xfedc_ba98_7654_3211_u64);
+    assert_eq!(
+        gf64_mul(x, y),
+        gf64_mul_soft(x, y),
+        "carry-less and bit-serial GF(2^64) multiply disagree"
+    );
+    c.bench_function("crypto/gf64_mul", |b| {
+        b.iter(|| gf64_mul(black_box(x), black_box(y)))
+    });
+    c.bench_function("crypto/gf64_mul_soft", |b| {
+        b.iter(|| gf64_mul_soft(black_box(x), black_box(y)))
     });
 
     let keys = BlockCipherKeys::from_seed(1);

@@ -309,10 +309,12 @@ impl IntegrityTree {
         r
     }
 
-    /// The materialized level-0 (data counter) block at `index`, if any
-    /// write ever touched it. Absent blocks are all-zero.
-    pub fn level0_block(&self, index: u64) -> Option<&CounterBlock> {
-        self.blocks.get(&(0, index))
+    /// The materialized block at `(level, index)`, if any write ever
+    /// touched it. Absent blocks are all-zero. Level 0 holds the data
+    /// counters; the block at `(level + 1, index)` holds the counters of
+    /// the level-`level` nodes `index·arity .. (index + 1)·arity`.
+    pub fn block(&self, level: u32, index: u64) -> Option<&CounterBlock> {
+        self.blocks.get(&(level, index))
     }
 
     /// Snapshot of every materialized level-0 block, ascending by index —

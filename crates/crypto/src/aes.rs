@@ -1,19 +1,25 @@
 //! FIPS-197 AES-128 block cipher.
 //!
-//! A u32 T-table implementation: each round's SubBytes + ShiftRows +
-//! MixColumns collapses into four table lookups and three XORs per
-//! column, with tables built at compile time from the S-box. AES is on
-//! the simulator's hottest path (every modeled memory line is encrypted
-//! and MACed twice per round trip), so the ~4–5× over the byte-wise
-//! version is wall-clock visible in full figure runs.
+//! [`Aes128::encrypt_batch`] is the one entry point the OTP and MAC paths
+//! use. On x86-64 hosts that report AES-NI it runs the rounds on the
+//! host's AES instructions (`aesenc`/`aesenclast`), the software stand-in
+//! for the pipelined hardware AES units the paper assumes; everywhere
+//! else it runs a portable u32 T-table implementation, where each
+//! round's SubBytes + ShiftRows + MixColumns collapses into four table
+//! lookups and three XORs per column. The CPU check runs once, at key
+//! expansion, and the round keys are kept in FIPS-197 byte order, which
+//! is the form the AES-NI path loads directly.
 //!
-//! It is used functionally (correctness of the secure-memory data path),
-//! not for side-channel resistance — table lookups are fine here; the
-//! *timing* of hardware AES units is modeled separately by
+//! Both paths compute the same function, and two oracles pin that: the
+//! T-table path stays public as [`Aes128::encrypt_batch_ttable`], and the
+//! byte-wise textbook rounds survive as [`Aes128::encrypt_reference`].
+//! The timing simulator never computes AES; the cipher serves the
+//! functional secure memory, the service and the campaigns built on
+//! them. It is used for correctness of that data path, not for
+//! side-channel resistance — table lookups are fine here. The *timing*
+//! of hardware AES units is modeled separately by
 //! [`crate::latency::CryptoLatencies`] and the memory controller's
-//! AES-unit pool. The pre-T-table byte-wise round survives as
-//! [`Aes128::encrypt_reference`] so tests and benches can cross-check
-//! the two paths.
+//! AES-unit pool.
 
 /// AES-128 with an expanded key schedule.
 ///
@@ -30,8 +36,12 @@
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Aes128 {
-    /// Round keys as big-endian column words (4 per round).
-    round_keys: [u32; 44],
+    /// The 11 round keys in FIPS-197 byte order (byte `c*4 + r` is row
+    /// `r` of column `c`), one 16-byte load each.
+    round_keys: [[u8; 16]; 11],
+    /// Whether the host has AES-NI, checked once at key expansion.
+    #[cfg(target_arch = "x86_64")]
+    aesni: bool,
 }
 
 const SBOX: [u8; 256] = [
@@ -109,11 +119,17 @@ impl Aes128 {
                 w[i][j] = w[i - 4][j] ^ temp[j];
             }
         }
-        let mut round_keys = [0u32; 44];
-        for (rk, word) in round_keys.iter_mut().zip(&w) {
-            *rk = u32::from_be_bytes(*word);
+        let mut round_keys = [[0u8; 16]; 11];
+        for (rk, words) in round_keys.iter_mut().zip(w.chunks_exact(4)) {
+            for (dst, word) in rk.chunks_exact_mut(4).zip(words) {
+                dst.copy_from_slice(word);
+            }
         }
-        Aes128 { round_keys }
+        Aes128 {
+            round_keys,
+            #[cfg(target_arch = "x86_64")]
+            aesni: std::arch::is_x86_feature_detected!("aes"),
+        }
     }
 
     /// Encrypts one 16-byte block.
@@ -123,13 +139,13 @@ impl Aes128 {
 
     /// Encrypts `N` independent blocks in one interleaved pass.
     ///
-    /// All blocks advance through the rounds in lock-step: each round
-    /// does the T-table lookups for every block before any block moves
-    /// on. The lookups of different blocks are data-independent, so the
-    /// core overlaps them (memory-level parallelism against L1) instead
-    /// of serializing a full dependent round chain per block — the
-    /// software analogue of the modeled 8-deep pipelined AES unit, and
-    /// how a 64 B line's four OTP blocks are produced in one pass.
+    /// All blocks advance through the rounds in lock-step, so the
+    /// rounds of different blocks overlap in the core instead of
+    /// serializing a full dependent round chain per block — the software
+    /// analogue of the modeled 8-deep pipelined AES unit, and how a 64 B
+    /// line's four OTP blocks are produced in one pass. Runs on AES-NI
+    /// when the host has it, else on [`Aes128::encrypt_batch_ttable`];
+    /// the ciphertexts are the same either way.
     ///
     /// `N` is the pipeline width, 1..=[`MAX_BATCH`]; width 1 is exactly
     /// [`Aes128::encrypt`].
@@ -137,28 +153,48 @@ impl Aes128 {
         const {
             assert!(N >= 1 && N <= MAX_BATCH, "batch width must be 1..=8");
         }
-        let rk = &self.round_keys;
+        #[cfg(target_arch = "x86_64")]
+        if self.aesni {
+            // SAFETY: `aesni` is set only when the CPU reports AES-NI.
+            return unsafe { aesni::encrypt_batch(&self.round_keys, blocks) };
+        }
+        self.encrypt_batch_ttable(blocks)
+    }
+
+    /// The portable T-table path of [`Aes128::encrypt_batch`]: the
+    /// fallback on hosts without AES-NI, and an oracle on hosts with it.
+    ///
+    /// Each round does the table lookups for every block before any
+    /// block moves on; the lookups of different blocks are
+    /// data-independent, so the core overlaps them against L1.
+    pub fn encrypt_batch_ttable<const N: usize>(&self, blocks: &[[u8; 16]; N]) -> [[u8; 16]; N] {
+        const {
+            assert!(N >= 1 && N <= MAX_BATCH, "batch width must be 1..=8");
+        }
+        // Round key `r` as four big-endian column words.
+        let rk = |r: usize| -> [u32; 4] {
+            std::array::from_fn(|c| {
+                u32::from_be_bytes(
+                    self.round_keys[r][c * 4..c * 4 + 4]
+                        .try_into()
+                        .expect("4-byte column"),
+                )
+            })
+        };
         // Per-block state as four big-endian column words (FIPS-197
         // layout: byte c*4+r is row r of column c, so column c is bytes
         // 4c..4c+4).
+        let rk0 = rk(0);
         let mut s = [[0u32; 4]; N];
         for (state, block) in s.iter_mut().zip(blocks) {
             for (c, col) in state.iter_mut().enumerate() {
-                *col = u32::from_be_bytes([
-                    block[c * 4],
-                    block[c * 4 + 1],
-                    block[c * 4 + 2],
-                    block[c * 4 + 3],
-                ]) ^ rk[c];
+                *col =
+                    u32::from_be_bytes(block[c * 4..c * 4 + 4].try_into().expect("4-byte column"))
+                        ^ rk0[c];
             }
         }
         for round in 1..10 {
-            let rkr = [
-                rk[round * 4],
-                rk[round * 4 + 1],
-                rk[round * 4 + 2],
-                rk[round * 4 + 3],
-            ];
+            let rkr = rk(round);
             for state in s.iter_mut() {
                 // ShiftRows: output column c takes row r from column c+r.
                 let t = [
@@ -185,6 +221,7 @@ impl Aes128 {
             }
         }
         // Final round: SubBytes + ShiftRows + AddRoundKey, no MixColumns.
+        let rk10 = rk(10);
         let mut out = [[0u8; 16]; N];
         for (block_out, state) in out.iter_mut().zip(&s) {
             for c in 0..4 {
@@ -192,27 +229,19 @@ impl Aes128 {
                     | ((SBOX[((state[(c + 1) % 4] >> 16) & 0xff) as usize] as u32) << 16)
                     | ((SBOX[((state[(c + 2) % 4] >> 8) & 0xff) as usize] as u32) << 8)
                     | SBOX[(state[(c + 3) % 4] & 0xff) as usize] as u32;
-                block_out[c * 4..c * 4 + 4].copy_from_slice(&(word ^ rk[40 + c]).to_be_bytes());
+                block_out[c * 4..c * 4 + 4].copy_from_slice(&(word ^ rk10[c]).to_be_bytes());
             }
         }
         out
     }
 
-    /// Encrypts one block with the pre-T-table byte-wise rounds.
+    /// Encrypts one block with the byte-wise textbook rounds.
     ///
     /// Kept as the validation oracle: property tests and the
-    /// `components` bench assert it produces the same ciphertext as
-    /// [`Aes128::encrypt`].
+    /// `components` bench assert that both paths of
+    /// [`Aes128::encrypt_batch`] produce the same ciphertext.
     pub fn encrypt_reference(&self, block: [u8; 16]) -> [u8; 16] {
-        let rk: Vec<[u8; 16]> = (0..11)
-            .map(|r| {
-                let mut k = [0u8; 16];
-                for c in 0..4 {
-                    k[c * 4..c * 4 + 4].copy_from_slice(&self.round_keys[r * 4 + c].to_be_bytes());
-                }
-                k
-            })
-            .collect();
+        let rk = &self.round_keys;
         let mut s = block;
         add_round_key(&mut s, &rk[0]);
         for round_key in &rk[1..10] {
@@ -232,10 +261,7 @@ impl Aes128 {
     /// Convenience for building one-time pads from packed
     /// `(µ, address, word-index, counter)` tuples.
     pub fn encrypt_u64_pair(&self, hi: u64, lo: u64) -> [u8; 16] {
-        let mut block = [0u8; 16];
-        block[..8].copy_from_slice(&hi.to_be_bytes());
-        block[8..].copy_from_slice(&lo.to_be_bytes());
-        self.encrypt(block)
+        self.encrypt_u64_pairs(&[(hi, lo)])[0]
     }
 
     /// [`Aes128::encrypt_u64_pair`] over a batch: packs each `(hi, lo)`
@@ -247,6 +273,54 @@ impl Aes128 {
             block[8..].copy_from_slice(&lo.to_be_bytes());
         }
         self.encrypt_batch(&blocks)
+    }
+}
+
+/// The AES-NI rounds. AES-NI keeps the state in FIPS-197 byte order, so
+/// the stored round keys and the blocks load as they are.
+#[cfg(target_arch = "x86_64")]
+mod aesni {
+    use std::arch::x86_64::{
+        __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_loadu_si128, _mm_setzero_si128,
+        _mm_storeu_si128, _mm_xor_si128,
+    };
+
+    /// # Safety
+    ///
+    /// The CPU must support AES-NI.
+    #[target_feature(enable = "aes")]
+    pub(super) unsafe fn encrypt_batch<const N: usize>(
+        round_keys: &[[u8; 16]; 11],
+        blocks: &[[u8; 16]; N],
+    ) -> [[u8; 16]; N] {
+        let load = |bytes: &[u8; 16]| -> __m128i {
+            // SAFETY: a 16-byte array is a valid unaligned 128-bit load.
+            unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) }
+        };
+        let mut rk = [_mm_setzero_si128(); 11];
+        for (k, bytes) in rk.iter_mut().zip(round_keys) {
+            *k = load(bytes);
+        }
+        let mut s = [_mm_setzero_si128(); N];
+        for (state, block) in s.iter_mut().zip(blocks) {
+            *state = _mm_xor_si128(load(block), rk[0]);
+        }
+        for k in &rk[1..10] {
+            for state in s.iter_mut() {
+                *state = _mm_aesenc_si128(*state, *k);
+            }
+        }
+        let mut out = [[0u8; 16]; N];
+        for (block_out, state) in out.iter_mut().zip(&s) {
+            // SAFETY: a 16-byte array is a valid unaligned 128-bit store.
+            unsafe {
+                _mm_storeu_si128(
+                    block_out.as_mut_ptr().cast(),
+                    _mm_aesenclast_si128(*state, rk[10]),
+                )
+            };
+        }
+        out
     }
 }
 
@@ -298,16 +372,22 @@ mod tests {
     fn fips197_appendix_b() {
         // FIPS-197 Appendix B example vector.
         let aes = Aes128::new(hex16("2b7e151628aed2a6abf7158809cf4f3c"));
-        let ct = aes.encrypt(hex16("3243f6a8885a308d313198a2e0370734"));
-        assert_eq!(ct, hex16("3925841d02dc09fbdc118597196a0b32"));
+        let pt = hex16("3243f6a8885a308d313198a2e0370734");
+        let ct = hex16("3925841d02dc09fbdc118597196a0b32");
+        assert_eq!(aes.encrypt(pt), ct);
+        assert_eq!(aes.encrypt_batch_ttable(&[pt]), [ct]);
+        assert_eq!(aes.encrypt_reference(pt), ct);
     }
 
     #[test]
     fn fips197_appendix_c() {
         // FIPS-197 Appendix C.1 (AES-128) known-answer test.
         let aes = Aes128::new(hex16("000102030405060708090a0b0c0d0e0f"));
-        let ct = aes.encrypt(hex16("00112233445566778899aabbccddeeff"));
-        assert_eq!(ct, hex16("69c4e0d86a7b0430d8cdb78070b4c55a"));
+        let pt = hex16("00112233445566778899aabbccddeeff");
+        let ct = hex16("69c4e0d86a7b0430d8cdb78070b4c55a");
+        assert_eq!(aes.encrypt(pt), ct);
+        assert_eq!(aes.encrypt_batch_ttable(&[pt]), [ct]);
+        assert_eq!(aes.encrypt_reference(pt), ct);
     }
 
     #[test]
@@ -332,9 +412,14 @@ mod tests {
                 "7b0c785e27e8ad3f8223207104725dd4",
             ),
         ];
-        for (pt, ct) in cases {
-            assert_eq!(aes.encrypt(hex16(pt)), hex16(ct));
+        let pts: [[u8; 16]; 4] = std::array::from_fn(|i| hex16(cases[i].0));
+        let cts: [[u8; 16]; 4] = std::array::from_fn(|i| hex16(cases[i].1));
+        for (pt, ct) in pts.iter().zip(&cts) {
+            assert_eq!(aes.encrypt(*pt), *ct);
         }
+        // Both batch paths, all four blocks in one pass.
+        assert_eq!(aes.encrypt_batch(&pts), cts);
+        assert_eq!(aes.encrypt_batch_ttable(&pts), cts);
     }
 
     #[test]
@@ -358,8 +443,8 @@ mod tests {
 
     #[test]
     fn ttable_matches_reference_implementation() {
-        // Pseudo-random keys and blocks: the T-table fast path and the
-        // byte-wise FIPS-197 rounds must agree everywhere.
+        // Pseudo-random keys and blocks: the dispatched path, the T-table
+        // path and the byte-wise FIPS-197 rounds must agree everywhere.
         let mut x = 0x1234_5678_9abc_def0u64;
         let mut next = move || {
             x ^= x << 13;
@@ -375,7 +460,9 @@ mod tests {
             block[..8].copy_from_slice(&next().to_le_bytes());
             block[8..].copy_from_slice(&next().to_le_bytes());
             let aes = Aes128::new(key);
-            assert_eq!(aes.encrypt(block), aes.encrypt_reference(block));
+            let reference = aes.encrypt_reference(block);
+            assert_eq!(aes.encrypt(block), reference);
+            assert_eq!(aes.encrypt_batch_ttable(&[block]), [reference]);
         }
     }
 

@@ -24,16 +24,33 @@ const GF64_POLY: u64 = 0x1B;
 
 /// Carry-less multiplication in GF(2⁶⁴).
 ///
+/// Uses the host's carry-less multiply (PCLMULQDQ) for the 128-bit
+/// product when the CPU has it, else [`gf64_mul_soft`]; both reduce the
+/// same way, so the result is the same on every host.
+///
 /// # Examples
 ///
 /// ```
-/// use emcc_crypto::mac::gf64_mul;
+/// use emcc_crypto::mac::{gf64_mul, gf64_mul_soft};
 ///
 /// let x = 0x1234_5678_9abc_def0;
 /// assert_eq!(gf64_mul(x, 1), x);          // 1 is the identity
 /// assert_eq!(gf64_mul(x, 0), 0);          // 0 annihilates
+/// assert_eq!(gf64_mul(x, 0xdead_beef), gf64_mul_soft(x, 0xdead_beef));
 /// ```
 pub fn gf64_mul(a: u64, b: u64) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("pclmulqdq") {
+        // SAFETY: the CPU reports PCLMULQDQ.
+        let (hi, lo) = unsafe { clmul::dot(&[a], &[b]) };
+        return reduce128(hi, lo);
+    }
+    gf64_mul_soft(a, b)
+}
+
+/// Bit-serial carry-less multiplication in GF(2⁶⁴): the portable
+/// fallback of [`gf64_mul`] and its oracle.
+pub fn gf64_mul_soft(a: u64, b: u64) -> u64 {
     // Schoolbook carry-less multiply into 128 bits, then reduce.
     let mut hi = 0u64;
     let mut lo = 0u64;
@@ -46,6 +63,49 @@ pub fn gf64_mul(a: u64, b: u64) -> u64 {
         }
     }
     reduce128(hi, lo)
+}
+
+/// `Σᵢ aᵢ ⊗ bᵢ` in GF(2⁶⁴). Reduction is linear, so the hardware path
+/// XORs the unreduced 128-bit products and reduces once.
+fn gf64_dot(a: &[u64; 8], b: &[u64; 8]) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("pclmulqdq") {
+        // SAFETY: the CPU reports PCLMULQDQ.
+        let (hi, lo) = unsafe { clmul::dot(a, b) };
+        return reduce128(hi, lo);
+    }
+    a.iter()
+        .zip(b)
+        .fold(0, |acc, (x, y)| acc ^ gf64_mul_soft(*x, *y))
+}
+
+/// The PCLMULQDQ carry-less products.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        _mm_clmulepi64_si128, _mm_cvtsi128_si64, _mm_cvtsi64_si128, _mm_setzero_si128,
+        _mm_unpackhi_epi64, _mm_xor_si128,
+    };
+
+    /// XOR of the unreduced 128-bit products `aᵢ · bᵢ`, as `(hi, lo)`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support PCLMULQDQ.
+    #[target_feature(enable = "pclmulqdq")]
+    pub(super) unsafe fn dot(a: &[u64], b: &[u64]) -> (u64, u64) {
+        let mut acc = _mm_setzero_si128();
+        for (x, y) in a.iter().zip(b) {
+            let p = _mm_clmulepi64_si128::<0x00>(
+                _mm_cvtsi64_si128(*x as i64),
+                _mm_cvtsi64_si128(*y as i64),
+            );
+            acc = _mm_xor_si128(acc, p);
+        }
+        let lo = _mm_cvtsi128_si64(acc) as u64;
+        let hi = _mm_cvtsi128_si64(_mm_unpackhi_epi64(acc, acc)) as u64;
+        (hi, lo)
+    }
 }
 
 fn reduce128(mut hi: u64, mut lo: u64) -> u64 {
@@ -133,11 +193,7 @@ impl MacKeys {
     /// Under EMCC this is computed at the MC over the *ciphertext* and
     /// shipped to L2 XOR-ed with the stored MAC (§IV-D).
     pub fn dot_product(&self, words: &[u64; 8]) -> Mac56 {
-        let mut acc = 0u64;
-        for (w, k) in words.iter().zip(self.word_keys.iter()) {
-            acc ^= gf64_mul(*w, *k);
-        }
-        Mac56::from_u64(acc)
+        Mac56::from_u64(gf64_dot(words, &self.word_keys))
     }
 
     /// Full MAC for a block: AES half XOR dot-product half.
@@ -191,6 +247,17 @@ mod tests {
     fn gf_x64_reduction() {
         // x^63 * x = x^64 ≡ x^4 + x^3 + x + 1 = 0x1B.
         assert_eq!(gf64_mul(1 << 63, 2), GF64_POLY);
+    }
+
+    #[test]
+    fn dot_product_is_the_sum_of_soft_products() {
+        let keys = MacKeys::from_seed(99);
+        let words = [1u64, u64::MAX, 1 << 63, 0, 0xdead_beef, 7, 1 << 40, 0x5a5a];
+        let soft = words
+            .iter()
+            .zip(&keys.word_keys)
+            .fold(0, |acc, (w, k)| acc ^ gf64_mul_soft(*w, *k));
+        assert_eq!(keys.dot_product(&words), Mac56::from_u64(soft));
     }
 
     #[test]

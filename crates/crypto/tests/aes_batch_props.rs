@@ -1,10 +1,15 @@
-//! Property tests for the interleaved batch AES path.
+//! Property tests for the runtime-dispatched crypto paths.
 //!
-//! The batched T-table pass must agree with the byte-wise FIPS-197
-//! reference rounds (`encrypt_reference`) for every pipeline width
-//! 1..=8, any key and any blocks — the oracle that licenses routing all
-//! hot-path OTP/MAC cipher work through `encrypt_batch`.
+//! `encrypt_batch` (AES-NI where the host has it) must agree with the
+//! portable T-table pass (`encrypt_batch_ttable`) and with the byte-wise
+//! FIPS-197 reference rounds (`encrypt_reference`) for every pipeline
+//! width 1..=8, any key and any blocks; `gf64_mul` (PCLMULQDQ where the
+//! host has it) must agree with the bit-serial `gf64_mul_soft`. The
+//! fallbacks are public, so these run both sides on any host — the
+//! oracles that license routing all OTP/MAC work through the dispatched
+//! paths.
 
+use emcc_crypto::mac::{gf64_mul, gf64_mul_soft};
 use emcc_crypto::Aes128;
 use proptest::prelude::*;
 
@@ -29,8 +34,9 @@ fn blocks_from_seed(seed: u64) -> [[u8; 16]; 8] {
 }
 
 proptest! {
-    /// Batched ≡ reference for every width: each lane of an N-wide batch
-    /// must be exactly the byte-wise single-block encryption of its input.
+    /// Dispatched ≡ T-table ≡ reference for every width: each lane of an
+    /// N-wide batch must be exactly the byte-wise single-block
+    /// encryption of its input, on both batch paths.
     #[test]
     fn batch_matches_reference_at_every_width(
         key_hi in any::<u64>(),
@@ -43,6 +49,7 @@ proptest! {
             ($($n:literal),+) => {$({
                 let input: &[[u8; 16]; $n] = blocks[..$n].try_into().unwrap();
                 let out = aes.encrypt_batch(input);
+                prop_assert_eq!(out, aes.encrypt_batch_ttable(input));
                 for (block, ct) in input.iter().zip(&out) {
                     prop_assert_eq!(*ct, aes.encrypt_reference(*block));
                 }
@@ -86,6 +93,17 @@ proptest! {
         let batched = aes.encrypt_u64_pairs(&pairs);
         for ((hi, lo), ct) in pairs.iter().zip(&batched) {
             prop_assert_eq!(*ct, aes.encrypt_u64_pair(*hi, *lo));
+        }
+    }
+
+    /// The carry-less multiply agrees with the bit-serial oracle on
+    /// random pairs and on the edge operands.
+    #[test]
+    fn gf64_mul_matches_soft(a in any::<u64>(), b in any::<u64>()) {
+        for x in [a, 0, 1, 1 << 63, u64::MAX] {
+            for y in [b, 0, 1, 1 << 63, u64::MAX] {
+                prop_assert_eq!(gf64_mul(x, y), gf64_mul_soft(x, y));
+            }
         }
     }
 }

@@ -244,7 +244,7 @@ impl FunctionalSecureMemory {
         let cb_index = self.tree.geometry().counter_block_of(line);
         let block = self
             .tree
-            .level0_block(cb_index)
+            .block(0, cb_index)
             .expect("write materializes its counter block")
             .clone();
         let touched: Vec<(LineAddr, StoredLine)> = if rebased {
@@ -276,7 +276,7 @@ impl FunctionalSecureMemory {
 
     /// The materialized counter block covering `line`, if any.
     pub fn counter_block_state(&self, index: u64) -> Option<&CounterBlock> {
-        self.tree.level0_block(index)
+        self.tree.block(0, index)
     }
 
     /// Installs (or clears) a level-0 counter block during recovery or
@@ -343,11 +343,9 @@ impl FunctionalSecureMemory {
             mask[bit / 64] ^= 1 << (bit % 64);
         } else {
             assert!(bit < 568, "node line is 512 image bits + 56 MAC bits");
-            let current = self
-                .node_macs
-                .get(&key)
-                .copied()
-                .unwrap_or_else(|| self.intact_node_mac(level, index));
+            let current = self.node_macs.get(&key).copied().unwrap_or_else(|| {
+                self.node_mac(level, index, &self.intact_node_image(level, index))
+            });
             self.node_macs
                 .insert(key, Mac56::from_u64(current.as_u64() ^ (1 << (bit - 512))));
         }
@@ -364,17 +362,25 @@ impl FunctionalSecureMemory {
     pub fn verify_path(&self, line: LineAddr) -> Result<(), ReadError> {
         for addr in self.tree.geometry().verification_path(line) {
             let (level, index) = self.tree.geometry().node_of_addr(addr);
-            let observed = self.observed_node_image(level, index);
+            let intact = self.intact_node_image(level, index);
+            let intact_mac = self.node_mac(level, index, &intact);
+            // Untampered contents are the intact image, whose MAC is
+            // already in hand.
+            let recomputed = match self.node_masks.get(&(level, index)) {
+                None => intact_mac,
+                Some(mask) => {
+                    let mut observed = intact;
+                    for (w, m) in observed.iter_mut().zip(mask) {
+                        *w ^= m;
+                    }
+                    self.node_mac(level, index, &observed)
+                }
+            };
             let stored_mac = self
                 .node_macs
                 .get(&(level, index))
                 .copied()
-                .unwrap_or_else(|| self.intact_node_mac(level, index));
-            let recomputed = self.keys.mac_block(
-                addr.base().get(),
-                self.tree.node_counter(level, index),
-                &DataBlock::from_words(observed),
-            );
+                .unwrap_or(intact_mac);
             if recomputed != stored_mac {
                 return Err(ReadError::TreeMismatch { level, index });
             }
@@ -404,7 +410,8 @@ impl FunctionalSecureMemory {
 
     /// The node's intact 512-bit image: a deterministic packing of the
     /// counters it stores (data counters at level 0, child node counters
-    /// above). Any single counter change flips image bits.
+    /// above), all read from the one counter block at `(level, index)`.
+    /// Any single counter change flips image bits.
     fn intact_node_image(&self, level: u32, index: u64) -> [u64; 8] {
         fn mix(c: u64, slot: u64) -> u64 {
             let mut z = c ^ slot.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -414,39 +421,31 @@ impl FunctionalSecureMemory {
         }
         let g = self.tree.geometry();
         let arity = g.design().coverage();
+        // Above level 0, slots past the last node of the level below
+        // protect nothing and stay out of the image.
+        let slots = if level == 0 {
+            arity
+        } else {
+            g.blocks_at_level(level - 1)
+                .saturating_sub(index * arity)
+                .min(arity)
+        };
+        let block = self.tree.block(level, index);
         let mut img = [0u64; 8];
-        for slot in 0..arity {
-            let c = if level == 0 {
-                self.tree.data_counter(LineAddr::new(index * arity + slot))
-            } else {
-                let child = index * arity + slot;
-                if child >= g.blocks_at_level(level - 1) {
-                    continue;
-                }
-                self.tree.node_counter(level - 1, child)
-            };
+        for slot in 0..slots {
+            let c = block.map_or(0, |b| b.counter(slot as usize));
             img[(slot % 8) as usize] ^= mix(c, slot);
         }
         img
     }
 
-    fn observed_node_image(&self, level: u32, index: u64) -> [u64; 8] {
-        let mut img = self.intact_node_image(level, index);
-        if let Some(mask) = self.node_masks.get(&(level, index)) {
-            for (w, m) in img.iter_mut().zip(mask) {
-                *w ^= m;
-            }
-        }
-        img
-    }
-
-    /// The MAC hardware would have stored for the node's intact contents.
-    fn intact_node_mac(&self, level: u32, index: u64) -> Mac56 {
+    /// The MAC of `image` as the contents of node `(level, index)`.
+    fn node_mac(&self, level: u32, index: u64, image: &[u64; 8]) -> Mac56 {
         let addr = self.tree.geometry().node_addr(level, index);
         self.keys.mac_block(
             addr.base().get(),
             self.tree.node_counter(level, index),
-            &DataBlock::from_words(self.intact_node_image(level, index)),
+            &DataBlock::from_words(*image),
         )
     }
 

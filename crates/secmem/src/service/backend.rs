@@ -166,13 +166,21 @@ impl StorageBackend for InMemoryBackend {
 /// Durable backend: a directory holding `journal.wal` and
 /// `checkpoint.img`, with checkpoint installs staged through a temp file
 /// and `rename` for atomicity.
+///
+/// The journal is opened `O_APPEND` on the first append and the handle is
+/// kept, so each later append is a single `write`. Truncation and
+/// corruption rewrite `journal.wal` in place (same inode), so appends
+/// through the kept handle land in the file [`StorageBackend::journal_bytes`]
+/// reads.
 #[derive(Debug)]
 pub struct FileBackend {
     dir: PathBuf,
+    journal: Option<fs::File>,
 }
 
 impl FileBackend {
-    /// Opens (creating if needed) the backing directory.
+    /// Opens (creating if needed) the backing directory. Creates no file:
+    /// the journal is opened by the first append.
     ///
     /// # Errors
     ///
@@ -180,7 +188,7 @@ impl FileBackend {
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, BackendError> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir).map_err(|e| BackendError::Io(e.to_string()))?;
-        Ok(FileBackend { dir })
+        Ok(FileBackend { dir, journal: None })
     }
 
     fn journal_path(&self) -> PathBuf {
@@ -194,12 +202,19 @@ impl FileBackend {
 
 impl StorageBackend for FileBackend {
     fn append_journal(&mut self, bytes: &[u8]) -> Result<(), BackendError> {
-        let mut f = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.journal_path())
-            .map_err(|e| BackendError::Io(e.to_string()))?;
-        f.write_all(bytes)
+        let journal = match &mut self.journal {
+            Some(f) => f,
+            None => {
+                let f = fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(self.journal_path())
+                    .map_err(|e| BackendError::Io(e.to_string()))?;
+                self.journal.insert(f)
+            }
+        };
+        journal
+            .write_all(bytes)
             .map_err(|e| BackendError::Io(e.to_string()))
     }
 
@@ -212,6 +227,8 @@ impl StorageBackend for FileBackend {
     }
 
     fn truncate_journal(&mut self) -> Result<(), BackendError> {
+        // `O_TRUNC` in place, never a new file: the kept handle must go on
+        // appending to the journal that is read back.
         fs::write(self.journal_path(), []).map_err(|e| BackendError::Io(e.to_string()))
     }
 
@@ -449,6 +466,15 @@ mod tests {
         assert!(!b.corrupt_byte(Region::Journal, 0, 1).unwrap());
     }
 
+    /// A fresh scratch directory per test (tests share one process).
+    fn scratch(name: &str) -> PathBuf {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../target/test-scratch")
+            .join(format!("emcc-backend-{name}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
     fn inmemory_contract() {
         roundtrip(InMemoryBackend::new());
@@ -456,15 +482,60 @@ mod tests {
 
     #[test]
     fn file_contract() {
-        let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../target/test-scratch")
-            .join(format!("emcc-backend-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+        let dir = scratch("contract");
         roundtrip(FileBackend::open(&dir).unwrap());
         // Reopening sees the persisted state.
         let b = FileBackend::open(&dir).unwrap();
         assert!(b.journal_bytes().unwrap().is_empty());
         assert!(b.checkpoint_bytes().unwrap().is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn file_open_creates_no_journal() {
+        let dir = scratch("lazy");
+        let mut b = FileBackend::open(&dir).unwrap();
+        assert!(!dir.join("journal.wal").exists());
+        assert!(b.journal_bytes().unwrap().is_empty());
+        b.append_journal(&[1]).unwrap();
+        assert!(dir.join("journal.wal").exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn file_append_after_truncate_keeps_only_new_bytes() {
+        let dir = scratch("truncate");
+        let mut b = FileBackend::open(&dir).unwrap();
+        b.append_journal(&[1, 2, 3]).unwrap();
+        b.truncate_journal().unwrap();
+        b.append_journal(&[4, 5]).unwrap();
+        assert_eq!(b.journal_bytes().unwrap(), vec![4, 5]);
+        assert_eq!(fs::read(dir.join("journal.wal")).unwrap(), vec![4, 5]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn file_append_after_corruption_lands_in_the_read_journal() {
+        let dir = scratch("corrupt");
+        let mut b = FileBackend::open(&dir).unwrap();
+        b.append_journal(&[1, 2, 3]).unwrap();
+        assert!(b.corrupt_byte(Region::Journal, 1, 0xF0).unwrap());
+        b.append_journal(&[4]).unwrap();
+        assert_eq!(b.journal_bytes().unwrap(), vec![1, 2 ^ 0xF0, 3, 4]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn file_backends_on_one_dir_share_the_journal() {
+        let dir = scratch("shared");
+        let mut first = FileBackend::open(&dir).unwrap();
+        let mut second = FileBackend::open(&dir).unwrap();
+        first.append_journal(&[1, 2]).unwrap();
+        assert_eq!(second.journal_bytes().unwrap(), vec![1, 2]);
+        second.append_journal(&[3]).unwrap();
+        first.append_journal(&[4]).unwrap();
+        assert_eq!(first.journal_bytes().unwrap(), vec![1, 2, 3, 4]);
+        assert_eq!(second.journal_bytes().unwrap(), vec![1, 2, 3, 4]);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -32,7 +32,8 @@ pub mod recovery;
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, TryLockError};
+use std::time::{Duration, Instant};
 
 use emcc_counters::CounterDesign;
 use emcc_crypto::DataBlock;
@@ -143,6 +144,10 @@ struct Core<B> {
     /// Lines recovery could not verify; reads report detected corruption.
     quarantined: BTreeSet<LineAddr>,
 }
+
+/// Longest a contended [`SecureMemoryService`] lock request spins before
+/// it parks: a few lock-held writes.
+const SPIN_FOR: Duration = Duration::from_micros(20);
 
 /// Thread-safe crash-consistent secure-memory service.
 ///
@@ -330,11 +335,35 @@ impl<B: StorageBackend> SecureMemoryService<B> {
             .backend
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Core<B>> {
+    /// Takes the service lock, spinning for up to [`SPIN_FOR`] before
+    /// parking.
+    ///
+    /// A lock-held operation takes a few µs, less than waking a parked
+    /// thread can take on a virtualized host. A waiter that parks at once
+    /// therefore sleeps through many of the holder's operations, since
+    /// the holder re-takes the free lock before the waiter wakes, and its
+    /// one operation waits for all of them. Spinning first hands the lock
+    /// over when it is released.
+    fn lock(&self) -> MutexGuard<'_, Core<B>> {
         // A panic while holding the lock (e.g. a tamper helper asserting)
         // poisons it; the service state itself is still consistent because
         // every journaled mutation completes or is rolled back.
-        self.core.lock().unwrap_or_else(|e| e.into_inner())
+        let mut spin_start = None;
+        loop {
+            match self.core.try_lock() {
+                Ok(core) => return core,
+                Err(TryLockError::Poisoned(e)) => return e.into_inner(),
+                Err(TryLockError::WouldBlock) => {}
+            }
+            if spin_start.get_or_insert_with(Instant::now).elapsed() >= SPIN_FOR {
+                return self.core.lock().unwrap_or_else(|e| e.into_inner());
+            }
+            // Poll sparingly: each failed attempt takes the lock's cache
+            // line away from the holder.
+            for _ in 0..16 {
+                std::hint::spin_loop();
+            }
+        }
     }
 
     /// Appends `bytes` with bounded retry + backoff accounting.
