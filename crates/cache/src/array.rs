@@ -74,23 +74,34 @@ pub struct EvictedLine<M> {
     pub meta: M,
 }
 
-#[derive(Debug, Clone)]
-struct Way<M> {
-    addr: LineAddr,
-    dirty: bool,
-    meta: M,
-    last_use: u64,
-}
-
 /// A set-associative, true-LRU cache array.
 ///
 /// The array tracks presence, dirtiness and per-line metadata `M`; it does
 /// not know about latency (the timing model charges that) or data contents
 /// (the functional model lives in `emcc-secmem`).
+///
+/// # Layout
+///
+/// One structure-of-arrays allocation per field, `sets × ways` slots each:
+/// set `s` owns slots `s * ways ..` and its `lens[s]` resident lines sit
+/// at the front of that range, so a lookup scans one contiguous run of
+/// tags. Insertion appends at the end of the run and removal moves the
+/// run's last line into the hole (a per-set `Vec`'s `push` /
+/// `swap_remove`), which fixes the order of [`Self::iter`].
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<M> {
     config: CacheConfig,
-    sets: Vec<Vec<Way<M>>>,
+    ways: usize,
+    /// `num_sets() - 1`: the set index is the address's low bits.
+    set_mask: u64,
+    /// Resident lines per set.
+    lens: Vec<u32>,
+    tags: Vec<LineAddr>,
+    /// LRU stamps: the value of `clock` at the line's last use.
+    stamps: Vec<u64>,
+    dirty: Vec<bool>,
+    /// `Some` exactly on resident slots.
+    meta: Vec<Option<M>>,
     clock: u64,
     resident: u64,
 }
@@ -98,12 +109,18 @@ pub struct SetAssocCache<M> {
 impl<M> SetAssocCache<M> {
     /// Creates an empty cache.
     pub fn new(config: CacheConfig) -> Self {
-        let sets = (0..config.num_sets())
-            .map(|_| Vec::with_capacity(config.ways() as usize))
-            .collect();
+        let sets = config.num_sets() as usize;
+        let ways = config.ways() as usize;
+        let slots = sets * ways;
         SetAssocCache {
             config,
-            sets,
+            ways,
+            set_mask: config.num_sets() - 1,
+            lens: vec![0; sets],
+            tags: vec![LineAddr::new(0); slots],
+            stamps: vec![0; slots],
+            dirty: vec![false; slots],
+            meta: std::iter::repeat_with(|| None).take(slots).collect(),
             clock: 0,
             resident: 0,
         }
@@ -124,9 +141,22 @@ impl<M> SetAssocCache<M> {
         self.resident == 0
     }
 
+    /// The set `addr` maps to and the first slot of that set.
     #[inline]
-    fn set_index(&self, addr: LineAddr) -> usize {
-        (addr.get() & (self.config.num_sets() - 1)) as usize
+    fn set_of(&self, addr: LineAddr) -> (usize, usize) {
+        let set = (addr.get() & self.set_mask) as usize;
+        (set, set * self.ways)
+    }
+
+    /// Slot holding `addr`, if resident.
+    #[inline]
+    fn find(&self, addr: LineAddr) -> Option<usize> {
+        let (set, base) = self.set_of(addr);
+        let len = self.lens[set] as usize;
+        self.tags[base..base + len]
+            .iter()
+            .position(|&t| t == addr)
+            .map(|i| base + i)
     }
 
     /// Looks up `addr`, updating LRU state. Returns hit/miss.
@@ -136,31 +166,25 @@ impl<M> SetAssocCache<M> {
 
     /// Looks up `addr` without perturbing LRU state.
     pub fn contains(&self, addr: LineAddr) -> bool {
-        self.peek(addr).is_some()
+        self.find(addr).is_some()
     }
 
     /// Reference to the line's metadata without touching LRU state.
     pub fn peek(&self, addr: LineAddr) -> Option<&M> {
-        let set = &self.sets[self.set_index(addr)];
-        set.iter().find(|w| w.addr == addr).map(|w| &w.meta)
+        self.find(addr).and_then(|i| self.meta[i].as_ref())
     }
 
     /// Whether the line is present and dirty (no LRU update).
     pub fn is_dirty(&self, addr: LineAddr) -> Option<bool> {
-        let set = &self.sets[self.set_index(addr)];
-        set.iter().find(|w| w.addr == addr).map(|w| w.dirty)
+        self.find(addr).map(|i| self.dirty[i])
     }
 
     /// Mutable access to the line's metadata, updating LRU state.
     pub fn get_mut(&mut self, addr: LineAddr) -> Option<&mut M> {
         self.clock += 1;
-        let clock = self.clock;
-        let idx = self.set_index(addr);
-        let set = &mut self.sets[idx];
-        set.iter_mut().find(|w| w.addr == addr).map(|w| {
-            w.last_use = clock;
-            &mut w.meta
-        })
+        let i = self.find(addr)?;
+        self.stamps[i] = self.clock;
+        self.meta[i].as_mut()
     }
 
     /// Marks a resident line dirty (e.g. a store hit), updating LRU state.
@@ -168,12 +192,10 @@ impl<M> SetAssocCache<M> {
     /// Returns false if the line is not resident.
     pub fn mark_dirty(&mut self, addr: LineAddr) -> bool {
         self.clock += 1;
-        let clock = self.clock;
-        let idx = self.set_index(addr);
-        match self.sets[idx].iter_mut().find(|w| w.addr == addr) {
-            Some(w) => {
-                w.dirty = true;
-                w.last_use = clock;
+        match self.find(addr) {
+            Some(i) => {
+                self.dirty[i] = true;
+                self.stamps[i] = self.clock;
                 true
             }
             None => false,
@@ -188,63 +210,74 @@ impl<M> SetAssocCache<M> {
     pub fn insert(&mut self, addr: LineAddr, dirty: bool, meta: M) -> Option<EvictedLine<M>> {
         self.clock += 1;
         let clock = self.clock;
-        let ways = self.config.ways() as usize;
-        let idx = self.set_index(addr);
-        let set = &mut self.sets[idx];
-
-        if let Some(w) = set.iter_mut().find(|w| w.addr == addr) {
-            w.dirty |= dirty;
-            w.meta = meta;
-            w.last_use = clock;
+        if let Some(i) = self.find(addr) {
+            self.dirty[i] |= dirty;
+            self.meta[i] = Some(meta);
+            self.stamps[i] = clock;
             return None;
         }
 
-        let victim = if set.len() == ways {
-            let (vi, _) = set
+        let (set, base) = self.set_of(addr);
+        let victim = if self.lens[set] as usize == self.ways {
+            let (vi, _) = self.stamps[base..base + self.ways]
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, w)| w.last_use)
+                .min_by_key(|&(_, &stamp)| stamp)
                 .expect("set is full, victim exists");
-            let w = set.swap_remove(vi);
-            self.resident -= 1;
-            Some(EvictedLine {
-                addr: w.addr,
-                dirty: w.dirty,
-                meta: w.meta,
-            })
+            Some(self.swap_remove(set, base + vi))
         } else {
             None
         };
 
-        set.push(Way {
-            addr,
-            dirty,
-            meta,
-            last_use: clock,
-        });
+        let slot = base + self.lens[set] as usize;
+        self.tags[slot] = addr;
+        self.stamps[slot] = clock;
+        self.dirty[slot] = dirty;
+        self.meta[slot] = Some(meta);
+        self.lens[set] += 1;
         self.resident += 1;
         victim
     }
 
     /// Removes a line, returning its state if it was resident.
     pub fn invalidate(&mut self, addr: LineAddr) -> Option<EvictedLine<M>> {
-        let idx = self.set_index(addr);
-        let set = &mut self.sets[idx];
-        let pos = set.iter().position(|w| w.addr == addr)?;
-        let w = set.swap_remove(pos);
+        let i = self.find(addr)?;
+        let (set, _) = self.set_of(addr);
+        Some(self.swap_remove(set, i))
+    }
+
+    /// Removes the line in `slot` of `set`, moving the set's last line
+    /// into its place.
+    fn swap_remove(&mut self, set: usize, slot: usize) -> EvictedLine<M> {
+        let last = set * self.ways + self.lens[set] as usize - 1;
+        let line = EvictedLine {
+            addr: self.tags[slot],
+            dirty: self.dirty[slot],
+            meta: self.meta[slot].take().expect("resident slot has metadata"),
+        };
+        self.tags[slot] = self.tags[last];
+        self.stamps[slot] = self.stamps[last];
+        self.dirty[slot] = self.dirty[last];
+        self.meta[slot] = self.meta[last].take();
+        self.lens[set] -= 1;
         self.resident -= 1;
-        Some(EvictedLine {
-            addr: w.addr,
-            dirty: w.dirty,
-            meta: w.meta,
+        line
+    }
+
+    /// Resident slots, set by set.
+    fn slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.lens.iter().enumerate().flat_map(move |(set, &len)| {
+            let base = set * self.ways;
+            base..base + len as usize
         })
     }
 
     /// Iterates over resident lines as `(addr, dirty, &meta)`.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, bool, &M)> + '_ {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter().map(|w| (w.addr, w.dirty, &w.meta)))
+        self.slots().map(move |i| {
+            let meta = self.meta[i].as_ref().expect("resident slot has metadata");
+            (self.tags[i], self.dirty[i], meta)
+        })
     }
 
     /// Address of the least-recently-used resident line satisfying `pred`,
@@ -254,12 +287,13 @@ impl<M> SetAssocCache<M> {
     /// when the budget is exceeded, the globally coldest counter line is
     /// dropped.
     pub fn lru_matching<F: Fn(LineAddr, &M) -> bool>(&self, pred: F) -> Option<LineAddr> {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter())
-            .filter(|w| pred(w.addr, &w.meta))
-            .min_by_key(|w| w.last_use)
-            .map(|w| w.addr)
+        self.slots()
+            .filter(|&i| {
+                let meta = self.meta[i].as_ref().expect("resident slot has metadata");
+                pred(self.tags[i], meta)
+            })
+            .min_by_key(|&i| self.stamps[i])
+            .map(|i| self.tags[i])
     }
 }
 

@@ -21,6 +21,8 @@
 pub mod array;
 pub mod kinds;
 pub mod mshr;
+#[cfg(test)]
+mod reference;
 
 pub use array::{CacheConfig, EvictedLine, SetAssocCache};
 pub use kinds::BlockKind;

@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 
 use emcc_cache::BlockKind;
 use emcc_crypto::DataBlock;
-use emcc_dram::{Dram, DramRequest, FaultModel, RequestClass};
+use emcc_dram::{Completion, Dram, DramRequest, FaultModel, RequestClass};
 use emcc_secmem::{AesPool, MetadataCache, OverflowEngine, OverflowTask};
 use emcc_sim::trace::{Component, Span};
 use emcc_sim::{FastHashMap, LineAddr, Time};
@@ -85,6 +85,9 @@ pub(crate) struct McState {
     pub dram_targets: FastHashMap<u64, DramTarget>,
     pub next_dram_id: u64,
     pub dram: Dram,
+    /// Completions of the current pump (reused, so pumping allocates
+    /// nothing).
+    pub dram_completions: Vec<Completion>,
     pub deferred_wb: VecDeque<LineAddr>,
     /// Optional DRAM fault injector, consulted on every demand/metadata
     /// completion (`None` in fault-free runs — zero behavioral change).
@@ -119,8 +122,11 @@ impl SecureSystem {
     }
 
     pub(crate) fn pump_dram(&mut self) {
-        let r = self.mc.dram.pump(self.now);
-        for c in r.completions {
+        let next_wake = self
+            .mc
+            .dram
+            .pump_into(self.now, &mut self.mc.dram_completions);
+        for c in self.mc.dram_completions.drain(..) {
             self.queue.push(
                 c.done,
                 Ev::DramDone {
@@ -134,7 +140,7 @@ impl SecureSystem {
                 },
             );
         }
-        if let Some(w) = r.next_wake {
+        if let Some(w) = next_wake {
             let need = match self.dram_pump_at {
                 None => true,
                 Some(t) => w < t,

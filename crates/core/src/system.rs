@@ -206,12 +206,70 @@ pub(crate) struct DataTxn {
     pub t_shipped: Option<Time>,
 }
 
+/// Per-core `CoreAdvance` bookkeeping: at most one wake per core is
+/// pending at any instant, and a wake that finds its core already
+/// advanced at that instant is dropped.
+///
+/// Both rules are exact. A core's state changes only in `advance` (run
+/// by [`SecureSystem::core_advance`] until it stalls) and in
+/// `complete_load`, which is always followed by `core_advance`. So a
+/// second `core_advance` at an instant where the core already ran one
+/// finds it stalled exactly as it was left, and its only effect would be
+/// to push again the wake the first one pushed, which is still pending
+/// (a stall's wake is always later than now). The wake kept is the one
+/// pushed earlier, so every other event keeps its `(time, push order)`
+/// place in the queue.
+#[derive(Debug, Default)]
+struct CoreWakes {
+    /// The instant `core_advance` last ran, per core.
+    advanced_at: Vec<Option<Time>>,
+    /// The time of the latest `CoreAdvance` pushed, per core.
+    pushed_at: Vec<Option<Time>>,
+    /// Every pending `(core, time)` wake, to check that none is pushed
+    /// twice.
+    #[cfg(debug_assertions)]
+    pending: emcc_sim::FastHashSet<(usize, Time)>,
+}
+
+impl CoreWakes {
+    fn new(cores: usize) -> Self {
+        CoreWakes {
+            advanced_at: vec![None; cores],
+            pushed_at: vec![None; cores],
+            ..CoreWakes::default()
+        }
+    }
+
+    /// Whether a wake for `core` at `t` must be pushed (false when one is
+    /// already pending there); records it if so.
+    fn schedule(&mut self, core: usize, t: Time, now: Time) -> bool {
+        if t > now && self.pushed_at[core] == Some(t) {
+            return false;
+        }
+        self.pushed_at[core] = Some(t);
+        #[cfg(debug_assertions)]
+        assert!(
+            self.pending.insert((core, t)),
+            "core {core} already has a CoreAdvance pending at {t}"
+        );
+        true
+    }
+
+    /// A wake for `core` fires at `now`: whether `core_advance` must run.
+    fn fire(&mut self, core: usize, now: Time) -> bool {
+        #[cfg(debug_assertions)]
+        self.pending.remove(&(core, now));
+        self.advanced_at[core] != Some(now)
+    }
+}
+
 /// The assembled system.
 pub struct SecureSystem {
     pub(crate) cfg: SystemConfig,
     pub(crate) queue: EventQueue<Ev>,
     pub(crate) now: Time,
     pub(crate) cores: Vec<CoreModel>,
+    wakes: CoreWakes,
     pub(crate) l1: Vec<SetAssocCache<()>>,
     pub(crate) l2: Vec<L2State>,
     pub(crate) slices: Vec<SetAssocCache<LlcMeta>>,
@@ -308,6 +366,7 @@ impl SecureSystem {
             dram_targets: FastHashMap::default(),
             next_dram_id: 1,
             dram: emcc_dram::Dram::new(cfg.dram),
+            dram_completions: Vec::new(),
             deferred_wb: std::collections::VecDeque::new(),
             fault: cfg.fault.clone().map(FaultModel::new),
         };
@@ -342,6 +401,7 @@ impl SecureSystem {
             slice_map: SliceMap::new(cfg.llc_slices),
             tree: IntegrityTree::new(cfg.counter_design, cfg.data_lines),
             cores: Vec::new(),
+            wakes: CoreWakes::default(),
             l2,
             slices,
             mc,
@@ -434,6 +494,7 @@ impl SecureSystem {
         self.warmup_ops = warmup_ops;
         self.warmup_done = warmup_ops == 0;
         self.report.scheme = self.cfg.scheme.to_string();
+        self.wakes = CoreWakes::new(sources.len());
         for (i, src) in sources.into_iter().enumerate() {
             if i == 0 {
                 self.report.benchmark = src.name().to_string();
@@ -446,7 +507,7 @@ impl SecureSystem {
                 self.cfg.max_outstanding_loads,
                 warmup_ops + ops_per_core,
             ));
-            self.queue.push(Time::ZERO, Ev::CoreAdvance(i));
+            self.wake_core(i, Time::ZERO);
         }
 
         let mut timed_out = false;
@@ -578,7 +639,11 @@ impl SecureSystem {
 
     fn dispatch(&mut self, ev: Ev) {
         match ev {
-            Ev::CoreAdvance(core) => self.core_advance(core),
+            Ev::CoreAdvance(core) => {
+                if self.wakes.fire(core, self.now) {
+                    self.core_advance(core);
+                }
+            }
             Ev::LoadComplete { core, token } => {
                 self.cores[core].complete_load(token, self.now);
                 self.core_advance(core);
@@ -641,19 +706,27 @@ impl SecureSystem {
 
     // ----- Core + L1 ------------------------------------------------------
 
+    /// Issues the core's operations until it stalls (see [`CoreWakes`]).
     fn core_advance(&mut self, core: usize) {
+        self.wakes.advanced_at[core] = Some(self.now);
         loop {
             match self.cores[core].advance(self.now) {
                 Ok(issue) => {
                     self.l1_access(core, issue.op, issue.load_token);
                 }
                 Err(Stall::UntilTime(t)) => {
-                    self.queue.push(t, Ev::CoreAdvance(core));
+                    self.wake_core(core, t);
                     return;
                 }
                 Err(Stall::OnLoad) => return,
                 Err(Stall::Finished) => return,
             }
+        }
+    }
+
+    fn wake_core(&mut self, core: usize, t: Time) {
+        if self.wakes.schedule(core, t, self.now) {
+            self.queue.push(t, Ev::CoreAdvance(core));
         }
     }
 
@@ -1465,5 +1538,42 @@ impl SecureSystem {
         } else {
             self.l2[core].stride[slot] = (line.get(), stride, 0);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn one_pending_wake_per_core_and_instant() {
+        let mut w = CoreWakes::new(2);
+        let (now, t) = (Time::from_ns(1), Time::from_ns(5));
+        assert!(w.schedule(0, t, now));
+        assert!(!w.schedule(0, t, now), "a second wake at t is a duplicate");
+        assert!(w.schedule(1, t, now), "another core's wake is not");
+        assert!(w.schedule(0, Time::from_ns(9), now));
+    }
+
+    #[test]
+    fn wake_after_an_advance_at_the_same_instant_is_dropped() {
+        let mut w = CoreWakes::new(1);
+        let t = Time::from_ns(5);
+        assert!(w.schedule(0, t, Time::ZERO));
+        w.advanced_at[0] = Some(t); // a load completed at t first
+        assert!(!w.fire(0, t));
+        assert!(w.schedule(0, Time::from_ns(7), t));
+        assert!(w.fire(0, Time::from_ns(7)));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "already has a CoreAdvance pending")]
+    fn a_second_pending_wake_at_one_instant_is_caught() {
+        let mut w = CoreWakes::new(1);
+        let t = Time::from_ns(5);
+        assert!(w.schedule(0, t, Time::ZERO));
+        w.pushed_at[0] = Some(Time::from_ns(9)); // forget the wake at t
+        w.schedule(0, t, Time::ZERO);
     }
 }

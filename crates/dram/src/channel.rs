@@ -273,14 +273,25 @@ impl DramChannel {
     /// Runs the scheduler at `now`: issues at most one request (command
     /// bandwidth is one per burst slot) and reports when to run next.
     pub fn pump(&mut self, now: Time) -> PumpResult {
+        let mut completions = Vec::new();
+        let next_wake = self.pump_into(now, &mut completions);
+        PumpResult {
+            completions,
+            next_wake,
+        }
+    }
+
+    /// [`Self::pump`] appending the issued request's completion to `out`
+    /// (a buffer the caller reuses) and returning when to run next.
+    pub fn pump_into(&mut self, now: Time, out: &mut Vec<Completion>) -> Option<Time> {
         self.apply_refresh(now);
-        let mut result = PumpResult::default();
+        let mut next_wake = None;
 
         if self.next_issue_at > now {
             if self.queued() > 0 {
-                result.next_wake = Some(self.next_issue_at);
+                next_wake = Some(self.next_issue_at);
             }
-            return result;
+            return next_wake;
         }
 
         // Write-drain hysteresis.
@@ -308,9 +319,9 @@ impl DramChannel {
                 };
                 let completion = self.issue(pending, now);
                 self.next_issue_at = now + self.config.burst;
-                result.completions.push(completion);
+                out.push(completion);
                 if self.queued() > 0 {
-                    result.next_wake = Some(self.next_issue_at);
+                    next_wake = Some(self.next_issue_at);
                 }
             }
             Err(earliest) => {
@@ -331,7 +342,7 @@ impl DramChannel {
                 };
                 // In non-drain mode with an empty read queue we already
                 // picked writes; here both were unready.
-                result.next_wake = match (earliest, other_earliest) {
+                next_wake = match (earliest, other_earliest) {
                     (None, None) => None,
                     (Some(a), None) | (None, Some(a)) => Some(a),
                     (Some(a), Some(b)) => Some(a.min(b)),
@@ -355,8 +366,8 @@ impl DramChannel {
                                 };
                                 let completion = self.issue(pending, now);
                                 self.next_issue_at = now + self.config.burst;
-                                result.completions.push(completion);
-                                result.next_wake = if self.queued() > 0 {
+                                out.push(completion);
+                                next_wake = if self.queued() > 0 {
                                     Some(self.next_issue_at)
                                 } else {
                                     None
@@ -367,7 +378,7 @@ impl DramChannel {
                 }
             }
         }
-        result
+        next_wake
     }
 }
 

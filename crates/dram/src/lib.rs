@@ -110,17 +110,25 @@ impl Dram {
     /// Runs all channel schedulers at `now`, collecting issued completions
     /// and the earliest next wake-up across channels.
     pub fn pump(&mut self, now: Time) -> PumpResult {
-        let mut out = PumpResult::default();
-        for ch in &mut self.channels {
-            let r = ch.pump(now);
-            out.completions.extend(r.completions);
-            out.next_wake = match (out.next_wake, r.next_wake) {
-                (None, w) => w,
-                (w, None) => w,
-                (Some(a), Some(b)) => Some(a.min(b)),
-            };
+        let mut completions = Vec::new();
+        let next_wake = self.pump_into(now, &mut completions);
+        PumpResult {
+            completions,
+            next_wake,
         }
-        out
+    }
+
+    /// [`Self::pump`] appending the completions to `out` (a buffer the
+    /// caller reuses, so pumping allocates nothing) and returning the
+    /// earliest next wake-up.
+    pub fn pump_into(&mut self, now: Time, out: &mut Vec<Completion>) -> Option<Time> {
+        let mut next_wake: Option<Time> = None;
+        for ch in &mut self.channels {
+            if let Some(w) = ch.pump_into(now, out) {
+                next_wake = Some(next_wake.map_or(w, |n| n.min(w)));
+            }
+        }
+        next_wake
     }
 
     /// Aggregated statistics across channels.

@@ -19,12 +19,14 @@ const ARITY: usize = 4;
 /// hardware schedules many events at the same instant (same-cycle core
 /// issues, simultaneous NoC arrivals), so the heap — the only
 /// logarithmic part — sees one entry per instant rather than one per
-/// event; same-instant pushes and pops are an append / a cursor bump on
-/// the front bucket. Buckets recycle through a free-list and a
-/// time→bucket map finds the append point, so steady-state churn
-/// touches no allocator. FIFO order within a bucket *is* push order,
-/// which makes delivery exactly `(time, push sequence)` ordered without
-/// storing a sequence number per event.
+/// event. A bucket is a singly linked list through a slab of nodes, one
+/// node per pending event: the heap entry names its first node and a
+/// time→last-node map finds the append point, so a same-instant push
+/// links one node and a pop unlinks the first. Nodes recycle through a
+/// LIFO free-list, so steady-state churn touches no allocator and
+/// reuses the node just popped. FIFO order within a bucket *is* push
+/// order, which makes delivery exactly `(time, push sequence)` ordered
+/// without storing a sequence number per event.
 ///
 /// The payload type `E` carries the event itself; it needs no ordering of
 /// its own.
@@ -45,49 +47,36 @@ const ARITY: usize = 4;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// 4-ary min-heap of `(distinct time, bucket index)`; `heap[0]` is
-    /// the earliest pending instant.
+    /// 4-ary min-heap of `(distinct time, first node)`; `heap[0]` is the
+    /// earliest pending instant.
     heap: Vec<(Time, u32)>,
-    /// Pending instant → index of its bucket in `buckets`.
+    /// Pending instant → the last node of its list.
     index: FastHashMap<Time, u32>,
-    /// Bucket slab; live entries are referenced by `heap`/`index`.
-    buckets: Vec<Bucket<E>>,
-    /// Recycled slab indices (LIFO keeps recently-touched buckets hot).
+    /// Node slab; each pending instant's events form a list in push order.
+    nodes: Vec<Node<E>>,
+    /// Recycled node indices (LIFO keeps recently-touched nodes hot).
     free: Vec<u32>,
-    /// Pending event count across all buckets.
+    /// Pending event count.
     len: usize,
     /// Events ever scheduled (`scheduled_total`).
     seq: u64,
 }
 
-/// FIFO of same-instant payloads: a vector with a consume cursor, so a
-/// drained bucket resets to its full capacity for reuse.
+/// One pending event and the next event of its instant.
 #[derive(Debug)]
-struct Bucket<E> {
-    items: Vec<E>,
-    head: usize,
+struct Node<E> {
+    /// `Some` while pending.
+    payload: Option<E>,
+    next: u32,
 }
 
-impl<E> Bucket<E> {
-    fn new() -> Self {
-        Bucket {
-            items: Vec::new(),
-            head: 0,
-        }
-    }
-}
+/// End of an instant's list.
+const NIL: u32 = u32::MAX;
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            heap: Vec::new(),
-            index: FastHashMap::default(),
-            buckets: Vec::new(),
-            free: Vec::new(),
-            len: 0,
-            seq: 0,
-        }
+        Self::with_capacity(0)
     }
 
     /// Creates an empty queue with pre-allocated capacity.
@@ -95,7 +84,7 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: Vec::with_capacity(capacity),
             index: FastHashMap::default(),
-            buckets: Vec::with_capacity(capacity),
+            nodes: Vec::with_capacity(capacity),
             free: Vec::with_capacity(capacity),
             len: 0,
             seq: 0,
@@ -106,22 +95,29 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: Time, payload: E) {
         self.seq += 1;
         self.len += 1;
+        let node = Node {
+            payload: Some(payload),
+            next: NIL,
+        };
+        let n = match self.free.pop() {
+            Some(i) => {
+                self.nodes[i as usize] = node;
+                i
+            }
+            None => {
+                assert!(self.nodes.len() < NIL as usize, "event slab full");
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
+            }
+        };
         match self.index.entry(time) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                self.buckets[*e.get() as usize].items.push(payload);
+            std::collections::hash_map::Entry::Occupied(mut e) => {
+                self.nodes[*e.get() as usize].next = n;
+                e.insert(n);
             }
             std::collections::hash_map::Entry::Vacant(e) => {
-                let b = match self.free.pop() {
-                    Some(i) => i,
-                    None => {
-                        assert!(self.buckets.len() < u32::MAX as usize, "bucket slab full");
-                        self.buckets.push(Bucket::new());
-                        (self.buckets.len() - 1) as u32
-                    }
-                };
-                self.buckets[b as usize].items.push(payload);
-                e.insert(b);
-                self.heap.push((time, b));
+                e.insert(n);
+                self.heap.push((time, n));
                 let last = self.heap.len() - 1;
                 Self::sift_up(&mut self.heap, last);
             }
@@ -130,29 +126,20 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        let &(time, b) = self.heap.first()?;
+        let &(time, n) = self.heap.first()?;
         self.len -= 1;
-        let bucket = &mut self.buckets[b as usize];
-        debug_assert!(bucket.head < bucket.items.len(), "live bucket is empty");
-        let payload = unsafe {
-            // SAFETY: `head < items.len()` is the bucket-liveness
-            // invariant (asserted above): a bucket stays referenced by
-            // the heap exactly while it holds unconsumed items, and the
-            // drain below retires it the moment the cursor catches up.
-            std::ptr::read(bucket.items.as_ptr().add(bucket.head))
-        };
-        bucket.head += 1;
-        if bucket.head == bucket.items.len() {
-            // SAFETY: every item below `head` has been moved out by the
-            // cursor; forgetting them (not dropping) is exactly right.
-            unsafe { bucket.items.set_len(0) };
-            bucket.head = 0;
-            self.free.push(b);
+        let node = &mut self.nodes[n as usize];
+        let payload = node.payload.take().expect("listed node is pending");
+        let next = node.next;
+        self.free.push(n);
+        if next == NIL {
             self.index.remove(&time);
             self.heap.swap_remove(0);
             if !self.heap.is_empty() {
                 Self::sift_down(&mut self.heap, 0);
             }
+        } else {
+            self.heap[0].1 = next;
         }
         Some((time, payload))
     }
@@ -227,26 +214,6 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-impl<E> Drop for EventQueue<E> {
-    fn drop(&mut self) {
-        // Consumed slots below each live bucket's cursor were moved out
-        // by `pop`; dropping the vector as-is would double-drop them.
-        for b in &mut self.buckets {
-            // SAFETY: items in `head..len` are live and owned; items
-            // below `head` were moved out. Drop exactly the live tail.
-            unsafe {
-                let live = std::ptr::slice_from_raw_parts_mut(
-                    b.items.as_mut_ptr().add(b.head),
-                    b.items.len() - b.head,
-                );
-                b.items.set_len(0);
-                b.head = 0;
-                std::ptr::drop_in_place(live);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,7 +278,7 @@ mod tests {
     #[test]
     fn buckets_are_recycled() {
         // Steady-state churn against a bounded pending count must not
-        // grow the bucket slab past its high-water mark.
+        // grow the node slab past its high-water mark.
         let mut q = EventQueue::new();
         for i in 0..8 {
             q.push(Time::from_ns(i), i);
@@ -322,9 +289,9 @@ mod tests {
         }
         assert_eq!(q.len(), 8);
         assert!(
-            q.buckets.len() <= 9,
-            "bucket slab grew past its high-water mark: {} buckets",
-            q.buckets.len()
+            q.nodes.len() <= 9,
+            "node slab grew past its high-water mark: {} nodes",
+            q.nodes.len()
         );
         assert_eq!(q.scheduled_total(), 1_008);
     }

@@ -7,9 +7,7 @@
 //! page, so physical locality within a page is perfect and locality across
 //! pages is destroyed, exactly like a real first-touch allocator.
 
-use std::collections::HashMap;
-
-use emcc_sim::{LineAddr, Rng64};
+use emcc_sim::{FastHashMap, LineAddr, Rng64};
 
 /// Lines per 2 MB huge page.
 const LINES_PER_PAGE: u64 = (2 * 1024 * 1024) / emcc_sim::mem::LINE_BYTES;
@@ -32,7 +30,9 @@ const LINES_PER_PAGE: u64 = (2 * 1024 * 1024) / emcc_sim::mem::LINE_BYTES;
 pub struct HugePager {
     rng: Rng64,
     frames: u64,
-    map: HashMap<u64, u64>,
+    /// Virtual page → frame. Only looked up, never iterated, so the
+    /// hasher cannot affect any translation.
+    map: FastHashMap<u64, u64>,
     used: Vec<bool>,
 }
 
@@ -48,7 +48,7 @@ impl HugePager {
         HugePager {
             rng: Rng64::new(seed ^ 0x9A6E_17B5),
             frames,
-            map: HashMap::new(),
+            map: FastHashMap::default(),
             used: vec![false; frames as usize],
         }
     }
